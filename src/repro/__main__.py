@@ -148,6 +148,15 @@ def cmd_validate(args) -> int:
         ref = 2.0 * x
         call_items(items, [n, 2.0, x])
         ok = np.allclose(x, ref)
+    elif kernel == "ger":
+        m, n, lda = 5, args.m or 32, (args.m or 32) + 8
+        x = rng.standard_normal(m)
+        y = rng.standard_normal(n)
+        a = rng.standard_normal(m * lda)
+        ref = a.reshape(m, lda).copy()
+        ref[:, :n] += np.outer(x, y)
+        call_items(items, [m, n, x, y, a, lda])
+        ok = np.allclose(a.reshape(m, lda), ref)
     elif kernel in ("gemv", "gemv_n"):
         m, n, lda = args.m or 16, 8, 24
         a = rng.standard_normal((n if kernel == "gemv" else m) * lda)
@@ -409,7 +418,8 @@ def cmd_integrity(args) -> int:
 
 
 def cmd_dispatch(args) -> int:
-    from .blas.dispatch import DispatchChain, tier_verdict
+    from .blas.dispatch import (ROUTINE_FAMILIES, DispatchChain,
+                                tier_verdict)
 
     top = get_arch(args.arch) if args.arch else None
     isolation = None if args.isolation == "auto" else args.isolation
@@ -431,6 +441,7 @@ def cmd_dispatch(args) -> int:
         else:
             status = f"DEMOTED ({verdict[1]})"
         print(f"{tier.name:<14} {status:<10}  {tier.describe()}")
+    print(f"routine families: {' '.join(ROUTINE_FAMILIES)}")
     if args.action == "probe":
         print(f"serving tier: {serving.name if serving else 'reference'}")
     else:
@@ -522,7 +533,7 @@ def main(argv=None) -> int:
                        help="empirical configuration search "
                             "(or 'tune sessions {list,show,resume,gc}')")
     t.add_argument("kernel",
-                   choices=["gemm", "gemv", "axpy", "dot", "sessions"])
+                   choices=["gemm", "gemv", "ger", "axpy", "dot", "sessions"])
     t.add_argument("session_action", nargs="?", default=None,
                    choices=["list", "show", "resume", "gc"],
                    help="with 'tune sessions': manage durable tuning "

@@ -21,6 +21,7 @@ from .runner import (
     DotKernel,
     GemmKernel,
     GemvKernel,
+    GerKernel,
     KERNEL_RUNNERS,
     NativeKernel,
     load_kernel,
@@ -37,6 +38,7 @@ __all__ = [
     "NativeKernel",
     "GemmKernel",
     "GemvKernel",
+    "GerKernel",
     "AxpyKernel",
     "DotKernel",
     "KERNEL_RUNNERS",

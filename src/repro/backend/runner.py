@@ -98,6 +98,22 @@ class GemvKernel(NativeKernel):
         self.fn(m, n, _ptr(a), lda, _ptr(x), _ptr(y))
 
 
+class GerKernel(NativeKernel):
+    """``dger_kernel(M, N, X, Y, A, LDA)``: A(i, :N) += X[i] * Y, row-major A."""
+
+    @classmethod
+    def load(cls, generated: GeneratedKernel) -> "GerKernel":
+        self = super().load(generated)
+        self.fn.restype = None
+        self.fn.argtypes = [ctypes.c_long, ctypes.c_long, _DP, _DP, _DP,
+                            ctypes.c_long]
+        return self
+
+    def __call__(self, m: int, n: int, x: np.ndarray, y: np.ndarray,
+                 a: np.ndarray, lda: int) -> None:
+        self.fn(m, n, _ptr(x), _ptr(y), _ptr(a), lda)
+
+
 class AxpyKernel(NativeKernel):
     """``daxpy_kernel(N, alpha, X, Y)``: y += alpha * x."""
 
@@ -146,6 +162,7 @@ KERNEL_RUNNERS = {
     "gemm_shuf": GemmKernel,
     "gemv": GemvKernel,
     "gemv_n": GemvKernel,  # same (M, N, A, LDA, X, Y) signature
+    "ger": GerKernel,
     "axpy": AxpyKernel,
     "dot": DotKernel,
     "scal": ScalKernel,

@@ -25,7 +25,7 @@ def _tuned_configs(verbose: bool, jobs: int = 1) -> dict:
     from ..tuning.search import tune_kernel
 
     configs = {}
-    for kernel in ("gemm", "gemv", "axpy", "dot"):
+    for kernel in ("gemm", "gemv", "ger", "axpy", "dot"):
         result = tune_kernel(kernel, verbose=verbose, jobs=jobs)
         configs[kernel] = result.best.config
         print(f"[tune] {kernel}: best = {result.best.describe()} "

@@ -40,7 +40,7 @@ from ..transforms.pipeline import OptimizationConfig
 from .dispatch import DispatchChain, RoutineDispatch
 from .gemm import BlockSizes, GemmDriver, make_gemm
 from .gemv import GemvDriver, make_gemv
-from .ger import GerDriver
+from .ger import GerDriver, make_ger
 from .guard import ArgGuard, BlasArgumentError
 from .integrity import IntegrityChecker, wrap_driver
 from .level1 import AxpyDriver, DotDriver, ScalDriver, make_axpy, make_dot, make_scal
@@ -113,19 +113,9 @@ class AugemBLAS:
             self._gemm = None
             self._level3 = None
             self._dispatch.pop("gemm", None)
-        elif family == "gemv":
-            self._gemv = None
-            self._dispatch.pop("gemv", None)
-        elif family == "axpy":
-            self._axpy = None
-            self._ger = None
-            self._dispatch.pop("axpy", None)
-        elif family == "dot":
-            self._dot = None
-            self._dispatch.pop("dot", None)
-        elif family == "scal":
-            self._scal = None
-            self._dispatch.pop("scal", None)
+        elif family in ("gemv", "ger", "axpy", "dot", "scal"):
+            setattr(self, f"_{family}", None)
+            self._dispatch.pop(family, None)
 
     def _note_serve(self, routine: str) -> None:
         info = self._dispatch.get(routine)
@@ -227,7 +217,16 @@ class AugemBLAS:
     @property
     def ger_driver(self) -> GerDriver:
         if self._ger is None:
-            self._ger = GerDriver(self.axpy_driver)
+            self._ger = self._build(
+                "ger", "ger",
+                builder=lambda tier, loader: make_ger(
+                    arch=tier.arch, config=self.configs.get("ger"),
+                    schedule=self.schedule, loader=loader),
+                direct=lambda: make_ger(
+                    arch=self.arch, config=self.configs.get("ger"),
+                    schedule=self.schedule))
+            self._ger = wrap_driver("ger", self._ger,
+                                    self.integrity_checker)
         return self._ger
 
     # -- BLAS entry points -----------------------------------------------
@@ -407,7 +406,7 @@ class AugemBLAS:
             g.note_zero_dim()
             return a
         driver = self.ger_driver
-        self._note_serve("axpy")
+        self._note_serve("ger")
         return driver(alpha, x, y, a)
 
 

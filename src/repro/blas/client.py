@@ -1,10 +1,10 @@
 """ServedBLAS — a drop-in BLAS facade backed by the serve daemon.
 
 ``ServedBLAS`` subclasses :class:`~repro.blas.api.AugemBLAS` and swaps
-only the five driver properties for remote proxies, so every entry point
+only the six driver properties for remote proxies, so every entry point
 — including the composed Level-3 routines (``dsymm``/``dsyrk``/... ride
-on the gemm driver) and ``dger`` (rides on axpy) — transparently runs on
-the daemon while keeping the full in-process argument-guard layer.
+on the gemm driver) — transparently runs on the daemon while keeping the
+full in-process argument-guard layer.
 
 Every remote call walks a degradation chain; the caller never sees a
 service failure, only (at worst) in-process latency:
@@ -175,6 +175,15 @@ class _RemoteDriver:
             return owner._fallback("gemv", exc)(a, x, y, alpha=alpha,
                                                 beta=beta, trans=trans)
 
+    def _ger(self, alpha: float, x, y, a):
+        owner = self._owner
+        try:
+            return owner._remote_call(
+                "ger", arrays={"x": x, "y": y, "a": a},
+                scalars={"alpha": alpha}, flags={}, inplace={"a": a})
+        except ServiceUnavailable as exc:
+            return owner._fallback("ger", exc)(alpha, x, y, a)
+
     def _axpy(self, alpha: float, x, y):
         owner = self._owner
         try:
@@ -240,7 +249,7 @@ class ServedBLAS(AugemBLAS):
         self.stats = ClientStats()
         self._remote: Dict[str, _RemoteDriver] = {}
 
-    # -- the five driver properties become remote proxies ------------------
+    # -- the six driver properties become remote proxies -------------------
 
     def _remote_driver(self, routine: str) -> _RemoteDriver:
         driver = self._remote.get(routine)
@@ -255,6 +264,10 @@ class ServedBLAS(AugemBLAS):
     @property
     def gemv_driver(self) -> _RemoteDriver:  # type: ignore[override]
         return self._remote_driver("gemv")
+
+    @property
+    def ger_driver(self) -> _RemoteDriver:  # type: ignore[override]
+        return self._remote_driver("ger")
 
     @property
     def axpy_driver(self) -> _RemoteDriver:  # type: ignore[override]

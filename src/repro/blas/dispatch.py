@@ -329,6 +329,15 @@ def _routine_probe(family: str, driver) -> Callable[[], float]:
                 ulp_error(got_n, ref.ref_gemv(a, x_n, y, 1.25, 0.5)),
                 ulp_error(got_t, ref.ref_gemv(a, x_t, alpha=-0.75,
                                               trans=True)))
+    elif family == "ger":
+        # 37 columns: an aligned prefix plus a tail for every unroll factor
+        x, y, a0 = _probe_vector(11), _probe_vector(37) + 1.0, \
+            _probe_matrix(11, 37)
+
+        def probe() -> float:
+            a = a0.copy()
+            driver(-0.75, x, y, a)
+            return ulp_error(a, ref.ref_ger(-0.75, x, y, a0))
     elif family == "axpy":
         x, y0 = _probe_vector(131), _probe_vector(131) + 2.0
 
@@ -359,10 +368,14 @@ _REFERENCE_FACTORIES = {
     "gemm": ref.ReferenceGemmDriver,
     "gemm_shuf": ref.ReferenceGemmDriver,
     "gemv": ref.ReferenceGemvDriver,
+    "ger": ref.ReferenceGerDriver,
     "axpy": ref.ReferenceAxpyDriver,
     "dot": ref.ReferenceDotDriver,
     "scal": ref.ReferenceScalDriver,
 }
+
+#: every kernel family the chain can build, admit and demote
+ROUTINE_FAMILIES = tuple(_REFERENCE_FACTORIES)
 
 
 class DispatchChain:

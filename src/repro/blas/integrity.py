@@ -463,6 +463,45 @@ class IntegrityGemvDriver(_IntegrityWrapper):
         return out
 
 
+class IntegrityGerDriver(_IntegrityWrapper):
+    """Sum-identity ABFT around :class:`~repro.blas.ger.GerDriver`: one
+    sampling decision and one identity per call,
+    ``sum(A') = sum(A) + alpha * sum(x) * sum(y)``."""
+
+    family = "ger"
+
+    def __call__(self, alpha: float, x, y, a,
+                 integrity: Optional[str] = None,
+                 integrity_report: Optional[IntegrityReport] = None):
+        check = self.integrity.decide(integrity)
+        if not check:
+            return self._inner(alpha, x, y, a)
+        t0 = time.perf_counter_ns()
+        a0 = np.array(a, dtype=np.float64)
+        x64 = np.asarray(x, dtype=np.float64)
+        y64 = np.asarray(y, dtype=np.float64)
+        expected = float(a0.sum()) \
+            + alpha * float(x64.sum()) * float(y64.sum())
+        magnitude = float(np.abs(a0).sum()) \
+            + abs(alpha) * float(np.abs(x64).sum()) \
+            * float(np.abs(y64).sum())
+        n_terms = a0.size + x64.size + y64.size
+
+        out = self._inner(alpha, x, y, a)
+        if _sum_close(float(out.sum()), expected, magnitude, n_terms):
+            self._verified(integrity_report, t0, False, False)
+            return out
+        a[...] = a0
+        out = self._inner(alpha, x, y, a)
+        if _sum_close(float(out.sum()), expected, magnitude, n_terms):
+            self._verified(integrity_report, t0, True, False)
+            return out
+        self._corrupt("ger sum identity violated twice", integrity_report)
+        a[...] = ref.ref_ger(alpha, x64, y64, a0)
+        self._verified(integrity_report, t0, True, True)
+        return a
+
+
 class IntegrityAxpyDriver(_IntegrityWrapper):
     """Sum-identity ABFT around :class:`~repro.blas.level1.AxpyDriver`."""
 
@@ -563,6 +602,7 @@ class IntegrityScalDriver(_IntegrityWrapper):
 
 _WRAPPERS = {
     "gemv": IntegrityGemvDriver,
+    "ger": IntegrityGerDriver,
     "axpy": IntegrityAxpyDriver,
     "dot": IntegrityDotDriver,
     "scal": IntegrityScalDriver,

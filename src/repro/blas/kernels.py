@@ -14,6 +14,10 @@ index expressions here describe packed-panel layouts:
   and can be loaded with a single vector load then shuffled.
 - ``gemv`` (column-sweep, y += A(:,i) * x[i]): A column-major with leading
   dimension LDA.
+- ``ger`` (rank-1 update, A(i,:) += x[i] * y): A row-major with leading
+  dimension LDA — the GEMV column sweep with the roles of the matrix and
+  the output vector swapped, so it maps onto the same mvUnrolledCOMP
+  template (one broadcast of ``X[i]`` per row).
 - ``axpy`` / ``dot``: classic Level-1 loops.
 
 All kernels use unit increments and double precision (the paper evaluates
@@ -86,6 +90,22 @@ void dgemv_n_kernel(long M, long N, double* A, long LDA, double* X, double* Y) {
 }
 """
 
+#: DGER — listed among the routines built on the generated kernels
+#: (paper §4.4, Table 6).  The whole rank-1 update is one kernel; the
+#: driver folds alpha into X.
+GER_SIMPLE_C = """
+void dger_kernel(long M, long N, double* X, double* Y, double* A, long LDA) {
+    long i;
+    long j;
+    for (i = 0; i < M; i += 1) {
+        double scal = X[i];
+        for (j = 0; j < N; j += 1) {
+            A[i * LDA + j] += Y[j] * scal;
+        }
+    }
+}
+"""
+
 AXPY_SIMPLE_C = """
 void daxpy_kernel(long N, double alpha, double* X, double* Y) {
     long i;
@@ -124,6 +144,7 @@ KERNEL_SOURCES = {
     "gemm_shuf": (GEMM_SHUF_SIMPLE_C, "dgemm_kernel"),
     "gemv": (GEMV_SIMPLE_C, "dgemv_kernel"),
     "gemv_n": (GEMV_N_SIMPLE_C, "dgemv_n_kernel"),
+    "ger": (GER_SIMPLE_C, "dger_kernel"),
     "axpy": (AXPY_SIMPLE_C, "daxpy_kernel"),
     "dot": (DOT_SIMPLE_C, "ddot_kernel"),
     "scal": (SCAL_SIMPLE_C, "dscal_kernel"),

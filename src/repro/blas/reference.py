@@ -6,7 +6,7 @@ conventions and mutation semantics of the native drivers in
 :mod:`repro.blas.gemm` / :mod:`repro.blas.gemv` /
 :mod:`repro.blas.level1`, so the dispatch layer can install them as the
 terminal tier of the fallback chain and :class:`~repro.blas.level3.Level3`
-/ :class:`~repro.blas.ger.GerDriver` compose on top transparently.
+composes on top transparently.
 """
 
 from __future__ import annotations
@@ -81,7 +81,13 @@ def ref_trsm(l, b, alpha=1.0):
 
 
 def ref_ger(alpha, x, y, a):
-    return np.asarray(a) + alpha * np.outer(x, y)
+    """``A + alpha * x yᵀ``.  ``alpha == 0`` is the BLAS quick return (A
+    comes back untouched, even against NaN/Inf in x or y); any other
+    alpha follows IEEE arithmetic, so ``0 * inf`` entries are NaN."""
+    a = np.asarray(a)
+    if alpha == 0.0:
+        return a.copy()
+    return a + alpha * np.outer(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +150,24 @@ class ReferenceAxpyDriver:
             raise ValueError("x and y must be 1-D arrays of equal length")
         y += alpha * x
         return y
+
+
+class ReferenceGerDriver:
+    """Drop-in for :class:`~repro.blas.ger.GerDriver` (mutates A)."""
+
+    tier = "reference"
+
+    def __call__(self, alpha: float, x: np.ndarray, y: np.ndarray,
+                 a: np.ndarray) -> np.ndarray:
+        if a.dtype != np.float64 or a.ndim != 2 or not a.flags.c_contiguous:
+            raise ValueError("A must be a contiguous float64 matrix")
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        if x.shape != a.shape[:1] or y.shape != a.shape[1:]:
+            raise ValueError("vector lengths do not match A")
+        if alpha != 0.0:  # alpha == 0: BLAS quick return (see ref_ger)
+            a += alpha * np.outer(x, y)
+        return a
 
 
 class ReferenceDotDriver:

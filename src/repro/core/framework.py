@@ -151,6 +151,11 @@ def default_config(kernel: str, arch: ArchSpec) -> OptimizationConfig:
             split=(("j", "res", 4 * n),),
             prefetch_distance={"A": 16 * n},
         )
+    if kernel == "ger":
+        return OptimizationConfig(
+            unroll=(("j", 4 * n),),
+            prefetch_distance={"A": 16 * n},
+        )
     if kernel == "axpy":
         return OptimizationConfig(
             unroll=(("i", 4 * n),),
@@ -232,8 +237,9 @@ class Augem:
                        config: Optional[OptimizationConfig] = None,
                        strategy: str = "auto",
                        name: Optional[str] = None) -> GeneratedKernel:
-        """Generate one of the built-in kernels (gemm, gemm_shuf, gemv,
-        axpy, dot) with its default (or the given) configuration."""
+        """Generate one of the built-in kernels (the keys of
+        ``blas.kernels.KERNEL_SOURCES``) with its default (or the given)
+        configuration."""
         from ..blas.kernels import KERNEL_SOURCES
 
         source, func_name = KERNEL_SOURCES[kernel]

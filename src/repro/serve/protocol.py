@@ -180,6 +180,9 @@ ROUTINES: Dict[str, RoutineSpec] = {
         scalars=("alpha", "beta"), flags=("trans",), output="new",
         shape_fn=lambda s, f: ((s["a"][1],) if f.get("trans")
                                else (s["a"][0],))),
+    "ger": RoutineSpec(
+        family="ger", arrays=("x", "y", "a"), scalars=("alpha",),
+        output="a"),
     "axpy": RoutineSpec(
         family="axpy", arrays=("x", "y"), scalars=("alpha",), output="y"),
     "dot": RoutineSpec(

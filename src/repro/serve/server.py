@@ -178,13 +178,7 @@ class ServeWorker:
         return self._blas
 
     def _driver_for(self, routine: str):
-        return {
-            "gemm": lambda: self.blas.gemm_driver,
-            "gemv": lambda: self.blas.gemv_driver,
-            "axpy": lambda: self.blas.axpy_driver,
-            "dot": lambda: self.blas.dot_driver,
-            "scal": lambda: self.blas.scal_driver,
-        }[routine]()
+        return getattr(self.blas, f"{ROUTINES[routine].family}_driver")
 
     def _warmup(self) -> None:
         """Build the configured routine families before accepting work."""
@@ -570,16 +564,16 @@ class ServeWorker:
             result = driver(arrays["a"], arrays["x"], arrays.get("y"),
                             alpha=scalars["alpha"], beta=scalars["beta"],
                             trans=flags["trans"], **kwargs)
-        elif routine == "axpy":
-            driver(scalars["alpha"], arrays["x"], arrays["y"], **kwargs)
-            return done(ok_response(result="y"))
         elif routine == "dot":
             return done(ok_response(value=float(driver(arrays["x"],
                                                        arrays["y"],
                                                        **kwargs))))
-        elif routine == "scal":
-            driver(scalars["alpha"], arrays["x"], **kwargs)
-            return done(ok_response(result="x"))
+        elif spec.output in spec.arrays:
+            # in-place routines (ger, axpy, scal) share one call shape:
+            # alpha, then the operands in spec order
+            driver(scalars["alpha"], *(arrays[name] for name in spec.arrays),
+                   **kwargs)
+            return done(ok_response(result=spec.output))
         else:  # unreachable: admission validated the routine
             return error_response(ERR_BAD_REQUEST,
                                   f"unservable routine {routine!r}")

@@ -25,6 +25,7 @@ from .space import (
     dot_candidates,
     gemm_candidates,
     gemv_candidates,
+    ger_candidates,
 )
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "CANDIDATE_SPACES",
     "gemm_candidates",
     "gemv_candidates",
+    "ger_candidates",
     "axpy_candidates",
     "dot_candidates",
     "tune_kernel",

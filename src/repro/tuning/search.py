@@ -286,6 +286,27 @@ def _trial_closures(kernel: str, native: NativeKernel, layout: str, rng,
             return (lambda: native(mdim, ncols, a, mdim, xv, yt)), \
                 2.0 * mdim * ncols
 
+    elif kernel == "ger":
+        mdim, ncols = 64, 1 << 10  # 64 rows of 1024: L2 resident like gemv
+        xv = rng.standard_normal(mdim)
+        yv = rng.standard_normal(ncols)
+        a0 = rng.standard_normal(mdim * ncols)
+
+        def validate() -> bool:
+            a = a0.copy()
+            ref = a0 + np.outer(xv, yv).ravel()
+            native(mdim, ncols, xv, yv, a, ncols)
+            if not np.allclose(a, ref):
+                raise RuntimeError("validation failed")
+            return True
+
+        def make_timed():
+            # A accumulates in place across timed calls, linearly in the
+            # call count: a per-candidate scratch, like the gemm tile
+            at = np.zeros(mdim * ncols)
+            return (lambda: native(mdim, ncols, xv, yv, at, ncols)), \
+                2.0 * mdim * ncols
+
     elif kernel == "axpy":
         def validate() -> bool:
             yv = y.copy()

@@ -67,6 +67,11 @@ def gemv_candidates(arch: ArchSpec) -> List[Candidate]:
     return out
 
 
+#: GER is the GEMV column sweep with matrix and vector roles swapped — the
+#: same loop shape, so the same space: unroll j x prefetch A on/off
+ger_candidates = gemv_candidates
+
+
 def axpy_candidates(arch: ArchSpec) -> List[Candidate]:
     n = arch.doubles_per_vector
     out = []
@@ -91,6 +96,7 @@ def dot_candidates(arch: ArchSpec) -> List[Candidate]:
 CANDIDATE_SPACES = {
     "gemm": gemm_candidates,
     "gemv": gemv_candidates,
+    "ger": ger_candidates,
     "axpy": axpy_candidates,
     "dot": dot_candidates,
 }

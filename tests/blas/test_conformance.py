@@ -26,6 +26,7 @@ from repro.blas import reference as ref
 from repro.blas.api import AugemBLAS
 from repro.blas.gemm import GemmDriver
 from repro.blas.gemv import GemvDriver
+from repro.blas.ger import GerDriver
 from repro.blas.level1 import AxpyDriver, DotDriver, ScalDriver
 from repro.core.framework import Augem
 from repro.emu.run import call_items
@@ -106,6 +107,59 @@ def test_level1_driver_tails(any_arch, rng):
         assert np.allclose(x2, -0.75 * x), n
 
 
+def test_ger_driver_shapes_and_alphas(any_arch, rng):
+    driver = GerDriver(_emu_kernel(any_arch, "ger"))
+    u = driver.unroll
+    # 1, below the unroll (pure numpy tail), primes (prefix + tail) and
+    # exact multiples (no tail), on both dimensions
+    for m in (1, 7, u):
+        for n in sorted({1, u - 1, 13, 2 * u + 5, u, 2 * u}):
+            for alpha in (1.0, -1.0, 0.5):
+                a = rng.standard_normal((m, n))
+                a0 = a.copy()
+                x, y = rng.standard_normal(m), rng.standard_normal(n)
+                assert driver(alpha, x, y, a) is a
+                assert np.allclose(a, ref.ref_ger(alpha, x, y, a0),
+                                   rtol=1e-14, atol=1e-14), (m, n, alpha)
+
+
+def test_ger_kernel_respects_lda(any_arch, rng):
+    """``lda > n``: the columns past N in every row are not touched."""
+    kernel = _emu_kernel(any_arch, "ger")
+    u = GerDriver(kernel).unroll
+    for m, n, lda in [(1, u, u + 1), (5, 2 * u, 2 * u + 7)]:
+        a = rng.standard_normal((m, lda))
+        a0 = a.copy()
+        x, y = rng.standard_normal(m), rng.standard_normal(n)
+        kernel(m, n, x, y, a.reshape(-1), lda)
+        assert np.array_equal(a[:, n:], a0[:, n:]), (m, n, lda)
+        assert np.allclose(a[:, :n], ref.ref_ger(1.0, x, y, a0[:, :n]),
+                           rtol=1e-14, atol=1e-14), (m, n, lda)
+
+
+def test_ger_nan_rule_emulator_and_reference_tiers(any_arch):
+    """One rule on every tier: ``alpha == 0`` returns A untouched,
+    anything else follows IEEE (a zero x[i] against inf in y is NaN)."""
+    for driver in (GerDriver(_emu_kernel(any_arch, "ger")),
+                   ref.ReferenceGerDriver()):
+        u = getattr(driver, "unroll", 8)
+        n = u + 3
+        x = np.array([0.0, 2.0, 0.0])
+        y = np.ones(n)
+        y[1], y[n - 1] = np.inf, -np.inf    # kernel prefix and numpy tail
+        a0 = np.arange(3.0 * n).reshape(3, n)
+        with np.errstate(invalid="ignore"):
+            expect = ref.ref_ger(0.5, x, y, a0)
+            got = driver(0.5, x, y, a0.copy())
+        assert np.isnan(expect[0, 1]) and np.isnan(expect[2, n - 1])
+        assert np.array_equal(got, expect, equal_nan=True)
+        untouched = a0.copy()
+        x[0], y[2] = np.nan, np.nan
+        assert driver(0.0, x, y, untouched) is untouched
+        assert np.array_equal(untouched, a0)
+        assert np.array_equal(ref.ref_ger(0.0, x, y, a0), a0)
+
+
 # -- facade conformance (any serving tier must match reference) -------------
 
 @pytest.fixture(scope="module")
@@ -176,6 +230,22 @@ def test_facade_inf_propagation(blas, rng):
     assert np.array_equal(np.isinf(y2), np.isinf(expected))
     mask = np.isfinite(expected)
     assert np.allclose(y2[mask], expected[mask])
+
+
+def test_facade_dger_nan_rule(blas, rng):
+    a0 = rng.standard_normal((6, 21))
+    x = rng.standard_normal(6)
+    y = rng.standard_normal(21)
+    x[0], y[4], y[20] = 0.0, np.inf, np.nan
+    with np.errstate(invalid="ignore"):
+        expected = ref.ref_ger(-1.5, x, y, a0)
+        got = blas.dger(-1.5, x, y, a0.copy())
+    assert np.isnan(expected[0, 4])
+    assert np.array_equal(np.isnan(got), np.isnan(expected))
+    assert np.array_equal(np.isinf(got), np.isinf(expected))
+    finite = np.isfinite(expected)
+    assert np.allclose(got[finite], expected[finite])
+    assert np.array_equal(blas.dger(0.0, x, y, a0.copy()), a0)
 
 
 # -- the acceptance scenario: injected SIGSEGV, graceful degradation --------

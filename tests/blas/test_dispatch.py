@@ -243,6 +243,42 @@ def test_admission_failure_demotes_one_tier():
 
 
 @needs_cc
+def test_ger_admission_failure_demotes_dger_and_leaves_daxpy_native(rng):
+    from repro.blas.api import AugemBLAS
+    from repro.blas.reference import ReferenceGerDriver, ref_ger
+
+    # chain [generic_sse, reference]; builds are numbered per chain:
+    # #0 the ISA probe, #1 the axpy kernel, #2 the ger kernel
+    install_fault_plan(FaultPlan.parse("wrong@#2"))
+    blas = AugemBLAS(arch=GENERIC_SSE)
+    x, y = rng.standard_normal(19), rng.standard_normal(19)
+    assert np.allclose(blas.daxpy(1.5, x, y.copy()), y + 1.5 * x)
+    a = rng.standard_normal((19, 19))
+    assert np.allclose(blas.dger(0.5, x, y, a.copy()),
+                       ref_ger(0.5, x, y, a))
+    report = blas.dispatch_report()
+    assert report["ger"].tier == "reference" and report["ger"].demoted
+    assert "failed admission" in report["ger"].attempts[0]
+    assert isinstance(blas.ger_driver, ReferenceGerDriver)
+    assert report["axpy"].tier == "generic_sse"
+    assert not report["axpy"].demoted
+
+
+def test_reference_chain_serves_ger(monkeypatch, rng):
+    from repro.blas.reference import ReferenceGerDriver, ref_ger
+
+    monkeypatch.setenv(FORCE_ARCH_ENV, "reference")
+    reset_host_cache()
+    driver, info = DispatchChain().build_routine(
+        "ger", lambda tier, loader: pytest.fail("native builder ran"))
+    assert isinstance(driver, ReferenceGerDriver)
+    assert info.family == "ger" and info.tier == "reference"
+    a = rng.standard_normal((4, 7))
+    x, y = rng.standard_normal(4), rng.standard_normal(7)
+    assert np.allclose(driver(2.0, x, y, a.copy()), ref_ger(2.0, x, y, a))
+
+
+@needs_cc
 def test_quarantined_kernel_is_never_loaded(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     reset_cache()

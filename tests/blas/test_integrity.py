@@ -325,6 +325,68 @@ def test_gemv_wrapper_reference_recompute(rng):
     assert report.reference_recomputes == 1
 
 
+class _TamperedGer:
+    """A rank-1 update that flips one element of A for the first
+    ``bad`` calls (``corrupt``-style silent damage), correct afterwards."""
+
+    tier = "native"
+
+    def __init__(self, bad: int) -> None:
+        self.bad = bad
+        self.calls = 0
+
+    def __call__(self, alpha, x, y, a):
+        self.calls += 1
+        a += alpha * np.outer(x, y)
+        if self.calls <= self.bad:
+            a[a.shape[0] // 2, a.shape[1] // 2] += 1000.0
+        return a
+
+
+def test_ger_wrapper_catches_tampered_a_under_full(rng):
+    from repro.blas.reference import ref_ger
+
+    x, y = rng.standard_normal(9), rng.standard_normal(14)
+    a0 = rng.standard_normal((9, 14))
+    for bad, recomputes in ((1, 0), (100, 1)):
+        driver = wrap_driver("ger", _TamperedGer(bad),
+                             IntegrityChecker(mode="full"))
+        report = IntegrityReport()
+        a = a0.copy()
+        got = driver(-0.75, x, y, a, integrity_report=report)
+        assert got is a
+        assert np.allclose(a, ref_ger(-0.75, x, y, a0))
+        assert report.checked and report.mismatches == 1
+        assert report.reference_recomputes == recomputes
+
+
+def test_ger_wrapper_clean_and_nonfinite_are_not_flagged(rng):
+    driver = wrap_driver("ger", _TamperedGer(bad=0),
+                         IntegrityChecker(mode="full"))
+    x, y = rng.standard_normal(6), rng.standard_normal(11)
+    for _ in range(8):
+        driver(1.25, x, y, rng.standard_normal((6, 11)))
+    y[3] = np.inf   # unverifiable, not corrupt
+    with np.errstate(invalid="ignore"):
+        driver(1.25, x, y, rng.standard_normal((6, 11)))
+    assert STATS.snapshot()["mismatches"] == 0
+
+
+def test_dger_advances_the_sample_counter_by_exactly_one(rng):
+    from repro.blas.api import AugemBLAS
+
+    blas = AugemBLAS(integrity="sample:4", hardened=False)
+    inner = _TamperedGer(bad=0)
+    blas._ger = wrap_driver("ger", inner, blas.integrity_checker)
+    x, y = rng.standard_normal(12), rng.standard_normal(5)
+    for call in range(1, 9):
+        blas.dger(0.5, x, y, rng.standard_normal((12, 5)))
+        assert blas.integrity_checker._calls == call   # not 12 per call
+    # 1-in-4 of eight calls were verified, each with one identity
+    assert STATS.snapshot()["checks"] == 2
+    assert inner.calls == 8
+
+
 def test_wrap_driver_skips_reference_and_gemm():
     checker = IntegrityChecker(mode="full")
     from repro.blas import reference as ref

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.blas.gemv import make_gemv
 from repro.blas.ger import make_ger
 from repro.blas.level1 import make_axpy, make_dot
+from repro.blas.reference import ref_ger
 
 from tests.conftest import needs_cc
 
@@ -27,6 +28,11 @@ def dot():
 @pytest.fixture(scope="module")
 def gemv():
     return make_gemv()
+
+
+@pytest.fixture(scope="module")
+def ger():
+    return make_ger()
 
 
 # -- AXPY ------------------------------------------------------------------
@@ -109,8 +115,7 @@ def test_gemv_length_mismatch(gemv):
 
 # -- GER ------------------------------------------------------------------------
 
-def test_ger_matches_outer(rng):
-    ger = make_ger()
+def test_ger_matches_outer(ger, rng):
     a = np.ascontiguousarray(rng.standard_normal((13, 9)))
     a0 = a.copy()
     x = rng.standard_normal(13)
@@ -119,19 +124,58 @@ def test_ger_matches_outer(rng):
     assert np.allclose(a, a0 + 1.75 * np.outer(x, y))
 
 
-def test_ger_zero_coefficient_rows_skipped(rng):
-    ger = make_ger()
-    a = np.zeros((3, 4))
+@pytest.mark.parametrize("m", [1, 3, 64])
+@pytest.mark.parametrize("n", [1, 7, 16, 37, 64])
+@pytest.mark.parametrize("alpha", [1.0, -1.0, 0.5])
+def test_ger_shapes_and_tails(ger, rng, m, n, alpha):
+    a = rng.standard_normal((m, n))
+    a0 = a.copy()
+    x = rng.standard_normal(m)
+    y = rng.standard_normal(n)
+    assert ger(alpha, x, y, a) is a
+    assert np.allclose(a, ref_ger(alpha, x, y, a0), rtol=1e-14, atol=1e-14)
+
+
+def test_ger_is_one_kernel_call(ger, rng, monkeypatch):
+    calls = []
+    real = ger.kernel
+    monkeypatch.setattr(ger, "kernel",
+                        lambda *args: (calls.append(args[:2]), real(*args)))
+    a = rng.standard_normal((40, 2 * ger.unroll + 3))
+    ger(0.5, rng.standard_normal(40), rng.standard_normal(a.shape[1]), a)
+    assert calls == [(40, 2 * ger.unroll)]
+    assert ger.axpy is None  # the per-row AXPY path is gone
+
+
+def test_ger_zero_x_against_inf_y_is_nan(ger):
+    # the documented rule: only alpha == 0 short-circuits; a zero x[i]
+    # still multiplies y, so 0 * inf is NaN exactly as in ref_ger
+    a = np.zeros((3, 20))
     x = np.array([0.0, 1.0, 0.0])
-    y = np.ones(4)
-    ger(1.0, x, y, a)
-    assert np.allclose(a[0], 0) and np.allclose(a[1], 1) and np.allclose(a[2], 0)
+    y = np.ones(20)
+    y[5], y[18] = np.inf, -np.inf       # one in the kernel part, one in the tail
+    with np.errstate(invalid="ignore"):
+        expect = ref_ger(1.0, x, y, a)
+        ger(1.0, x, y, a)
+    assert np.isnan(a[0, 5]) and np.isnan(a[2, 18])
+    assert np.array_equal(a, expect, equal_nan=True)
 
 
-def test_ger_shape_validation(rng):
-    ger = make_ger()
+def test_ger_alpha_zero_is_quick_return(ger):
+    a = np.arange(12.0).reshape(3, 4)
+    a0 = a.copy()
+    x = np.array([np.nan, 1.0, np.inf])
+    y = np.array([1.0, np.inf, np.nan, 0.0])
+    assert ger(0.0, x, y, a) is a
+    assert np.array_equal(a, a0)
+    assert np.array_equal(ref_ger(0.0, x, y, a0), a0)
+
+
+def test_ger_shape_validation(ger):
     with pytest.raises(ValueError):
         ger(1.0, np.zeros(3), np.zeros(4), np.zeros((4, 4)))
+    with pytest.raises(ValueError):
+        ger(1.0, np.zeros(4), np.zeros(4), np.zeros((4, 8))[:, ::2])
 
 
 # -- property: drivers agree with numpy on random input ----------------------------
@@ -147,3 +191,18 @@ def test_axpy_property(n, seed, alpha):
     ref = y + alpha * x
     axpy(alpha, x, y)
     assert np.allclose(y, ref)
+
+
+@given(m=st.integers(1, 24), n=st.integers(1, 80), seed=st.integers(0, 2**31),
+       alpha=st.sampled_from([0.0, 1.0, -1.0, 0.5, -2.75]))
+@settings(max_examples=40, deadline=None)
+def test_ger_property(m, n, seed, alpha):
+    ger = make_ger()
+    r = np.random.default_rng(seed)
+    a = r.standard_normal((m, n))
+    a0 = a.copy()
+    x = r.standard_normal(m)
+    y = r.standard_normal(n)
+    ger(alpha, x, y, a)
+    # alpha*x[i] is rounded before the multiply-add: a few ULPs of |ref|
+    assert np.allclose(a, ref_ger(alpha, x, y, a0), rtol=1e-14, atol=1e-14)

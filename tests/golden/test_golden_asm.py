@@ -44,6 +44,9 @@ SCENARIOS = {
     "axpy_unrolled": (
         "axpy", OptimizationConfig(unroll=(("i", 4),)), "golden_axpy_u",
         {"mvUnrolledCOMP"}),
+    # config None = default_config("ger"): the kernel AugemBLAS.dger serves
+    "ger_unrolled": (
+        "ger", None, "golden_ger_u", {"mvUnrolledCOMP"}),
 }
 
 _LABEL = re.compile(r"\.L[A-Za-z0-9_$.]*")

@@ -94,17 +94,57 @@ class TestRemoteServing:
         assert blas.stats.fallbacks == 0
         assert blas.stats.remote_ok > 0
 
-    def test_dger_rides_remote_axpy(self, live_service):
+    def test_dger_is_one_remote_request(self, live_service):
+        from repro.blas.api import AugemBLAS
+
         _worker, config = live_service
         blas = _client(config)
         rng = np.random.default_rng(9)
         a = rng.standard_normal((6, 5))
         x = rng.standard_normal(6)
         y = rng.standard_normal(5)
-        expect = a + 0.5 * np.outer(x, y)
-        got = blas.dger(0.5, x, y, a.copy())
-        assert np.allclose(got, expect)
+        local = AugemBLAS().dger(0.5, x, y, a.copy())
+        before = blas.stats.requests
+        target = a.copy()
+        got = blas.dger(0.5, x, y, target)
+        assert got is target
+        assert blas.stats.requests - before == 1   # not one per row
         assert blas.stats.fallbacks == 0
+        assert np.array_equal(got, local)           # bit-equal to in-process
+        assert np.allclose(got, a + 0.5 * np.outer(x, y))
+
+    def test_dger_falls_back_when_daemon_rejects_ger(self, live_service,
+                                                     monkeypatch):
+        """A daemon that predates the ``ger`` routine answers
+        bad_request; the client falls back in-process from an A the
+        failed remote attempt never touched."""
+        from repro.serve import server as server_mod
+
+        _worker, config = live_service
+        monkeypatch.setattr(
+            server_mod, "ROUTINES",
+            {k: v for k, v in server_mod.ROUTINES.items() if k != "ger"})
+        blas = _client(config)
+        rng = np.random.default_rng(16)
+        a0 = rng.standard_normal((7, 4))
+        x = rng.standard_normal(7)
+        y = rng.standard_normal(4)
+        seen = []
+        real = blas.local_driver
+
+        def recording_local(routine):
+            driver = real(routine)
+            return lambda alpha, x, y, a: (seen.append(a.copy()),
+                                           driver(alpha, x, y, a))[1]
+
+        monkeypatch.setattr(blas, "local_driver", recording_local)
+        a = a0.copy()
+        got = blas.dger(2.0, x, y, a)
+        assert blas.stats.requests == 1 and blas.stats.fallbacks == 1
+        assert blas.stats.remote_ok == 0
+        assert len(seen) == 1 and np.array_equal(seen[0], a0)
+        assert got is a
+        assert np.allclose(a, a0 + 2.0 * np.outer(x, y))
 
     def test_retry_after_injected_reject(self, live_service):
         _worker, config = live_service

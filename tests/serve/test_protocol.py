@@ -124,7 +124,8 @@ class TestArrayRef:
 
 class TestRoutineTable:
     def test_families_cover_served_blas(self):
-        assert set(ROUTINES) == {"gemm", "gemv", "axpy", "dot", "scal"}
+        assert set(ROUTINES) == {"gemm", "gemv", "ger", "axpy", "dot",
+                                 "scal"}
 
     def test_gemm_shape(self):
         spec = ROUTINES["gemm"]
@@ -139,6 +140,9 @@ class TestRoutineTable:
 
     def test_inplace_and_scalar_outputs(self):
         assert ROUTINES["axpy"].output == "y"
+        ger = ROUTINES["ger"]
+        assert ger.arrays == ("x", "y", "a") and ger.scalars == ("alpha",)
+        assert ger.output == "a"
         assert ROUTINES["scal"].output == "x"
         assert ROUTINES["dot"].output == "scalar"
 

@@ -41,6 +41,13 @@ def test_generate_custom_config(tmp_path):
     assert main(["validate", str(path), "--kernel", "dot"]) == 0
 
 
+def test_generate_and_validate_ger_on_every_isa(tmp_path):
+    for arch in ("generic_sse", "sandybridge", "haswell", "piledriver"):
+        path = tmp_path / f"ger_{arch}.S"
+        assert main(["generate", "ger", "--arch", arch, "-o", str(path)]) == 0
+        assert main(["validate", str(path), "--kernel", "ger"]) == 0
+
+
 def test_generate_unroll_jam_args(tmp_path):
     path = tmp_path / "g.S"
     assert main(["generate", "gemm", "--unroll-jam", "j=2",
@@ -157,6 +164,10 @@ def test_dispatch_show_lists_chain(capsys):
     out = capsys.readouterr().out
     assert "generic_sse" in out and "reference" in out
     assert "unprobed" in out  # 'show' must not execute probes
+    families = next(line for line in out.splitlines()
+                    if line.startswith("routine families:"))
+    assert {"gemm", "gemv", "ger", "axpy", "dot", "scal"} \
+        <= set(families.split(":")[1].split())
 
 
 def test_serve_status_reports_down_without_daemon(capsys, tmp_path,

@@ -15,6 +15,7 @@ from repro.tuning.space import (
     dot_candidates,
     gemm_candidates,
     gemv_candidates,
+    ger_candidates,
 )
 from repro.tuning.search import tune_kernel
 
@@ -44,7 +45,8 @@ def test_gemm_space_shuf_candidates_on_shuf_layout():
 
 
 def test_vector_spaces_scale_with_lanes():
-    for maker in (gemv_candidates, axpy_candidates, dot_candidates):
+    for maker in (gemv_candidates, ger_candidates, axpy_candidates,
+                  dot_candidates):
         sse = maker(GENERIC_SSE)
         avx = maker(HASWELL)
         assert sse and avx
@@ -80,6 +82,27 @@ def test_tune_kernel_picks_a_valid_winner():
     assert result.best_gflops > 0
     assert len(result.trials) == 2
     assert "tuning axpy" in result.report()
+
+
+def test_ger_space_is_unroll_j_by_prefetch_a():
+    n = HASWELL.doubles_per_vector
+    cands = candidates_for("ger", HASWELL)
+    assert [dict(c.config.unroll)["j"] for c in cands[::2]] \
+        == [n, 2 * n, 4 * n, 8 * n]
+    assert {tuple(sorted((c.config.prefetch_distance or {})))
+            for c in cands} == {(), ("A",)}
+
+
+@needs_cc
+def test_tune_ger_validates_and_times_candidates():
+    cands = [
+        Candidate(OptimizationConfig(unroll=(("j", 8),))),
+        Candidate(OptimizationConfig(unroll=(("j", 16),),
+                                     prefetch_distance={"A": 64})),
+    ]
+    result = tune_kernel("ger", candidates=cands, batches=2)
+    assert result.best in cands and result.best_gflops > 0
+    assert all(t.category == "ok" for t in result.trials)
 
 
 @pytest.fixture
