@@ -14,9 +14,9 @@ a methodological stand-in:
 - **vendor proxy (MKL/ACML)** — numpy's OpenBLAS, hand-tuned assembly from
   the very lineage AUGEM's kernels were merged into.
 
-This module also provides the small triangular diagonal-block routines
-(naive C) used by the blocked TRMM/TRSM drivers, so no numpy/OpenBLAS
-cycles leak into the Level-3 measurements.
+This module also provides the small triangular diagonal-block solve
+(naive C) used by the blocked TRSM driver, so no numpy/OpenBLAS cycles
+leak into the Level-3 measurements.
 """
 
 from __future__ import annotations
@@ -132,19 +132,6 @@ double naive_ddot(long n, const double* x, const double* y) {
 """
 
 TRIANGULAR_DIAG_C = r"""
-void trmm_lower_diag(long nb, long ncols, const double* L, double* B,
-                     long ldb) {
-    /* B (nb x ncols, row-major, leading dim ldb) = L (nb x nb lower) @ B */
-    for (long i = nb - 1; i >= 0; i--) {
-        for (long j = 0; j < ncols; j++) {
-            double s = 0.0;
-            for (long l = 0; l <= i; l++)
-                s += L[i*nb + l] * B[l*ldb + j];
-            B[i*ldb + j] = s;
-        }
-    }
-}
-
 void trsm_lower_diag(long nb, long ncols, const double* L, double* B,
                      long ldb) {
     /* B = L^{-1} B by forward substitution */
@@ -233,15 +220,7 @@ class BaselineLibrary:
                        [ctypes.c_long, _DP, _DP])
         return fn(len(x), _ptr(x), _ptr(y))
 
-    # -- triangular diagonal blocks ------------------------------------------
-    def trmm_diag(self, l_block: np.ndarray, b_rows: np.ndarray,
-                  ldb: int) -> None:
-        nb = l_block.shape[0]
-        ncols = b_rows.shape[1] if b_rows.ndim == 2 else ldb
-        fn = self._sig("trmm_lower_diag", None,
-                       [ctypes.c_long, ctypes.c_long, _DP, _DP, ctypes.c_long])
-        fn(nb, ncols, _ptr(l_block), _ptr(b_rows), ldb)
-
+    # -- triangular diagonal block ----------------------------------------
     def trsm_diag(self, l_block: np.ndarray, b_rows: np.ndarray,
                   ldb: int) -> None:
         nb = l_block.shape[0]

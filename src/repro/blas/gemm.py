@@ -4,25 +4,31 @@ block-partitioned algorithm originally developed by Goto").
 
 The driver:
 
-1. partitions C into Mc x Nc macro-tiles and K into Kc slices (Kc = 256
-   in the paper's evaluation), shrinking Mc/Nc when needed so there are
-   at least as many tiles as compute threads;
-2. packs the A block (alpha folded in during the pack — no scaled copy
+1. owns exactly one full-size array per call — the C-contiguous result,
+   ``beta * C`` or zeros — and swaps the operand roles at entry: a
+   row-major ``C`` is the column-major ``Cᵀ = Bᵀ Aᵀ``, so the kernel's
+   column-major tile of ``Bᵀ Aᵀ`` has the layout of the block of the
+   result it belongs to;
+2. partitions (the swapped) C into Mc x Nc macro-tiles and K into Kc
+   slices (Kc = 256 in the paper's evaluation), shrinking Mc/Nc when
+   needed so there are at least as many tiles as compute threads;
+3. packs the A block (alpha folded in during the pack — no scaled copy
    is ever materialized) and the B panel into the layouts the generated
    kernel expects, all through a reusable
    :class:`~repro.blas.threading.PackBufferPool`;
-3. runs the remainder-free micro-kernel over every macro-tile — on one
+4. runs the remainder-free micro-kernel over every macro-tile — on one
    thread, or partitioned across the persistent
    :class:`~repro.blas.threading.WorkerPool` (BLIS-style jc/ic loop
-   parallelism; the ctypes kernel call releases the GIL) — then adds
-   each finished tile into the result workspace.
+   parallelism; the ctypes kernel call releases the GIL) — into a pooled
+   scratch tile that is verified and then added straight into its block
+   of the result.
 
 Parallel execution is **bit-identical** to single-threaded execution at
 any thread count: each (jc, ic) macro-tile is owned by exactly one task,
 its kc-slices run sequentially inside that task, every C element is
 accumulated in strictly ascending k order by the kernel, and tiles land
-in disjoint regions of the workspace — so no floating-point operation
-ever reorders, whatever the scheduling.  B panels are packed once per
+in disjoint blocks of the result — so no floating-point operation ever
+reorders, whatever the scheduling.  B panels are packed once per
 (jc, kc) slice by the first task to need them and shared read-only;
 A-block packing is per-task into pooled buffers.
 
@@ -43,7 +49,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..backend.faults import (InjectedWorkerFault, corrupt_tile,
-                              take_fault)
+                              get_fault_plan)
 from ..backend.runner import GemmKernel
 from ..core.framework import GeneratedKernel
 from ..obs import event, incr, span
@@ -168,15 +174,17 @@ class GemmDriver:
             raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
         m, k = a.shape
         _, n = b.shape
-        out: Optional[np.ndarray] = None
         if c is not None:
-            out = np.array(c, dtype=np.float64)
-            if out.shape != (m, n):
-                raise ValueError(f"C has shape {out.shape}, expected {(m, n)}")
-            if beta == 0.0:
-                out[:] = 0.0
-            elif beta != 1.0:
-                out *= beta
+            c = np.asarray(c, dtype=np.float64)
+            if c.shape != (m, n):
+                raise ValueError(f"C has shape {c.shape}, expected {(m, n)}")
+        # the one full-size array of the call: beta*C (or zeros), row-major
+        if c is None or beta == 0.0:
+            out = np.zeros((m, n))
+        elif beta == 1.0:
+            out = np.array(c, order="C")
+        else:
+            out = np.multiply(c, beta, order="C")
         report = integrity_report
         check = self.integrity.decide(integrity)
         if report is not None:
@@ -184,7 +192,11 @@ class GemmDriver:
                 else resolve_integrity(integrity)[0]
             report.checked = report.checked or check
         if alpha == 0.0 or k == 0:
-            return out if out is not None else np.zeros((m, n))
+            return out
+
+        # row-major C is column-major Cᵀ = Bᵀ Aᵀ: after the swap a kernel
+        # tile has the layout of the block of ``out`` it is added into
+        a, b, m, n = b.T, a.T, n, m
 
         nthreads = self.threads if threads is None \
             else resolve_threads(threads)
@@ -196,13 +208,6 @@ class GemmDriver:
             mc, nc = split_for_threads(m, n, mc, nc, self.mu, self.nu,
                                        nthreads)
 
-        # exact-size column-major workspace: index (i, j) at j*m + i.
-        # Every macro-tile computes into a private pooled scratch and is
-        # added into its disjoint workspace slice — parallel tasks never
-        # share a written byte, and the sum order per element is fixed.
-        work = np.zeros(m * n)
-        work_rows = work.reshape(n, m)  # [j, i]
-
         tiles = []
         for j0 in range(0, n, nc):
             jn = min(nc, n - j0)
@@ -211,22 +216,20 @@ class GemmDriver:
                 tiles.append((j0, jn, _round_up(jn, self.nu),
                               i0, im, _round_up(im, self.mu)))
         if tiles:
-            self._run_tiles(tiles, a, b, work_rows, alpha, k, kc,
+            self._run_tiles(tiles, a, b, out, alpha, k, kc,
                             min(nthreads, len(tiles)), check=check,
                             report=report)
-
-        result = work_rows.T  # (m, n) view, F-contiguous
-        if out is None:
-            return result
-        out += result
         return out
 
     # -- tile execution ----------------------------------------------------
 
-    def _run_tiles(self, tiles, a, b, work_rows, alpha, k, kc,
+    def _run_tiles(self, tiles, a, b, out, alpha, k, kc,
                    nthreads, check: bool = False,
                    report: Optional[IntegrityReport] = None) -> None:
+        """Run every macro-tile of ``out.T = a @ b`` (the swapped
+        operands of :meth:`__call__`): ``out`` is indexed ``[j, i]``."""
         pool = self.pack_pool
+        plan = get_fault_plan()  # one env lookup per call, not per tile
         pack_b = pack_b_dup if self.layout == "dup" else pack_b_shuf
         family = "gemm" if self.layout == "dup" else "gemm_shuf"
         panels: Dict[Tuple[int, int], _PanelSlot] = {}
@@ -282,6 +285,11 @@ class GemmDriver:
             return slot.buf
 
         checker = self.integrity
+
+        def fault_at(index: int) -> Optional[str]:
+            """The planned thread-stage fault for this tile, if armed."""
+            return plan.take("thread", tag=family, index=index) \
+                if plan is not None else None
 
         def note(field: str, n: int = 1) -> None:
             _ISTATS.add(field, n)
@@ -340,7 +348,7 @@ class GemmDriver:
         def resolve_tile(c_buf: np.ndarray, index: int, j0: int, jn: int,
                          jn_pad: int, i0: int, im: int,
                          im_pad: int) -> np.ndarray:
-            """The verified (jn, im) tile to add into the workspace.
+            """The verified (jn, im) tile to add into ``out``.
 
             Clean tiles return the view into ``c_buf`` (added before
             the caller releases it); the mismatch ladder returns a
@@ -366,9 +374,9 @@ class GemmDriver:
             # dirty-scratch races; the fault plan is re-consulted so a
             # persistent `corrupt` spec corrupts the retry too)
             note("retries")
-            refault = take_fault("thread", tag=family, index=index)
             buf2 = compute_tile(j0, jn, jn_pad, i0, im, im_pad,
-                                refault == "corrupt", shared_panels=False)
+                                fault_at(index) == "corrupt",
+                                shared_panels=False)
             try:
                 tile2 = buf2.reshape(jn_pad, im_pad)[:jn, :im]
                 if verify_gemm_tile(tile2, a_sub, b_sub, alpha):
@@ -395,7 +403,7 @@ class GemmDriver:
 
         def run_tile(index: int, j0: int, jn: int, jn_pad: int, i0: int,
                      im: int, im_pad: int) -> None:
-            fault = take_fault("thread", tag=family, index=index)
+            fault = fault_at(index)
             if fault == "worker_die":
                 raise InjectedWorkerFault(
                     f"injected worker_die at {family} tile #{index}")
@@ -407,8 +415,8 @@ class GemmDriver:
                                         i0, im, im_pad)
                 else:
                     tile = c_buf.reshape(jn_pad, im_pad)[:jn, :im]
-                # disjoint slice per tile: concurrent adds never overlap
-                work_rows[j0:j0 + jn, i0:i0 + im] += tile
+                # disjoint block per tile: concurrent adds never overlap
+                out[j0:j0 + jn, i0:i0 + im] += tile
             finally:
                 pool.release(c_buf)
             retire_column(j0)

@@ -14,7 +14,9 @@ Covers the multithreading contract end to end:
   call cleanly: the caller's C is untouched, every pooled buffer is
   returned, and the next call succeeds;
 - **alpha folding** — no ``a_block * alpha`` temporary is materialized
-  per tile (allocation tracing).
+  per tile (allocation tracing);
+- **C in place** — the result is the call's one full-size array:
+  C-contiguous, owning its memory, never the caller's ``c``.
 """
 
 from __future__ import annotations
@@ -256,6 +258,26 @@ def test_worker_die_deterministic_lowest_index_wins(rng):
         assert driver.pack_pool.outstanding == 0
 
 
+def test_fault_plan_is_resolved_once_per_call(rng, monkeypatch):
+    # $REPRO_FAULT_INJECT is read when the call starts, not per macro-tile
+    from repro.blas import gemm as gemm_module
+
+    lookups = []
+    real = gemm_module.get_fault_plan
+    monkeypatch.setattr(gemm_module, "get_fault_plan",
+                        lambda: lookups.append(1) or real())
+    monkeypatch.setenv("REPRO_FAULT_INJECT", "worker_die@#5")
+    driver = GemmDriver(_PyKernel(), blocks=TINY_BLOCKS, threads=1)
+    a = rng.standard_normal((24, 8))
+    with pytest.raises(InjectedWorkerFault, match="#5"):
+        driver(a, a.T)                       # 9 macro-tiles
+    assert len(lookups) == 1
+    monkeypatch.delenv("REPRO_FAULT_INJECT")
+    assert np.allclose(driver(a, a.T), a @ a.T)
+    assert len(lookups) == 2
+    assert driver.pack_pool.outstanding == 0
+
+
 # -- alpha folding: no scaled A copy per tile -------------------------------
 
 
@@ -282,6 +304,52 @@ def test_alpha_fold_allocates_no_extra_temporaries(rng):
     assert peak_scaled < peak_unit + 9000, (peak_unit, peak_scaled)
     got = driver(a, b, alpha=2.5)
     assert np.allclose(got, 2.5 * (a @ b))
+
+
+# -- C written in place: one full-size array per call ------------------------
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("with_c", [False, True])
+def test_result_is_c_contiguous_owned_and_never_aliases_c(with_c, order, rng):
+    a = rng.standard_normal((37, 11))
+    b = rng.standard_normal((11, 29))
+    c = np.asarray(rng.standard_normal((37, 29)), order=order) \
+        if with_c else None
+    c_before = None if c is None else c.copy()
+    base = None
+    for threads in [1, 2, 4]:
+        driver = GemmDriver(_PyKernel(), blocks=TINY_BLOCKS, threads=threads)
+        for beta in [0.0, 1.0, -0.5]:
+            got = driver(a, b, c, alpha=1.5, beta=beta)
+            assert isinstance(got, np.ndarray) and got.shape == (37, 29)
+            assert got.flags.c_contiguous and got.flags.owndata
+            if c is not None:
+                assert not np.shares_memory(got, c)
+                assert np.array_equal(c, c_before)
+                assert np.allclose(got, 1.5 * (a @ b) + beta * c)
+        if base is None:
+            base = got.tobytes()
+        assert got.tobytes() == base, threads
+
+
+def test_accumulate_allocates_one_result_array(rng):
+    m, n, k = 512, 512, 256
+    driver = GemmDriver(_PyKernel(), threads=1)
+    a = rng.standard_normal((m, k))
+    b = rng.standard_normal((k, n))
+    c = rng.standard_normal((m, n))
+    driver(a, b, c, alpha=1.0, beta=0.5)   # warm pool + numpy internals
+
+    tracemalloc.start()
+    got = driver(a, b, c, alpha=1.0, beta=0.5)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+
+    # beta*C is the result the tiles add into: a copy of C plus a
+    # workspace plus a second-pass temporary would be three m x n arrays
+    assert peak < 1.5 * m * n * 8, peak
+    assert np.allclose(got, a @ b + 0.5 * c)
 
 
 # -- threading plumbing units ----------------------------------------------

@@ -28,12 +28,16 @@ from repro.backend.cache import get_cache, reset_cache
 from repro.backend.faults import (FaultPlan, clear_fault_plan, corrupt_tile,
                                   install_fault_plan)
 from repro.blas import dispatch
+from repro.blas.api import AugemBLAS
 from repro.blas.integrity import (DEFAULT_SAMPLE_PERIOD, IntegrityChecker,
                                   IntegrityReport, STATS,
                                   emulated_gemm_driver, resolve_integrity,
                                   reset_integrity_state, strike_counts,
                                   verify_gemm_tile, wrap_driver)
+from repro.blas.reference import ref_syrk
 from repro.core.framework import quarantine_key
+
+from tests.conftest import needs_cc
 
 
 @pytest.fixture(autouse=True)
@@ -209,6 +213,23 @@ def test_corruption_without_integrity_goes_unnoticed(rng):
     b = rng.standard_normal((8, 12))
     got = driver(a, b)
     assert not np.allclose(got, a @ b, rtol=1e-12, atol=1e-12)
+
+
+@needs_cc
+def test_corruption_contained_through_dsyrk(monkeypatch, rng):
+    # the Level-3 casts reach the ladder through the one GEMM path: an
+    # env-armed persistent fault on the panel's first tile is detected,
+    # recomputed and struck, and dsyrk still returns correct bits
+    monkeypatch.setenv("REPRO_INTEGRITY", "full")
+    monkeypatch.setenv("REPRO_FAULT_INJECT", "corrupt@#0")
+    a = rng.standard_normal((40, 24))
+    c = rng.standard_normal((40, 40))
+    got = AugemBLAS().dsyrk(a, c, alpha=0.5, beta=-1.0)
+    assert np.allclose(got, ref_syrk(a, c, 0.5, -1.0), rtol=1e-12, atol=1e-12)
+    stats = STATS.snapshot()
+    assert stats["mismatches"] == stats["retries"] == 1
+    assert stats["reference_recomputes"] == 1
+    assert list(strike_counts().values()) == [1]
 
 
 # -- strikes -> quarantine -> demotion ---------------------------------------

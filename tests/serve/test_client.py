@@ -94,6 +94,27 @@ class TestRemoteServing:
         assert blas.stats.fallbacks == 0
         assert blas.stats.remote_ok > 0
 
+    def test_rank_k_updates_cost_a_handful_of_requests(self, live_service):
+        from repro.blas.api import AugemBLAS
+        from repro.blas.level3 import Level3
+
+        _worker, config = live_service
+        blas, local = _client(config), AugemBLAS()
+        rng = np.random.default_rng(10)
+        n = 512
+        a = rng.standard_normal((n, 24))
+        b = rng.standard_normal((n, 24))
+        panels = -(-n // Level3.panel)
+        before = blas.stats.requests
+        got = blas.dsyrk(a)
+        assert blas.stats.requests - before <= 2 * panels
+        assert np.array_equal(got, local.dsyrk(a))  # bit-equal to in-process
+        before = blas.stats.requests
+        got = blas.dsyr2k(a, b)
+        assert blas.stats.requests - before <= 4 * panels
+        assert np.array_equal(got, local.dsyr2k(a, b))
+        assert blas.stats.fallbacks == 0
+
     def test_dger_is_one_remote_request(self, live_service):
         from repro.blas.api import AugemBLAS
 
