@@ -32,7 +32,7 @@ Packages:
 - :mod:`repro.blas` — packing, blocked GEMM, GEMV/AXPY/DOT, Level-3;
 - :mod:`repro.tuning` — empirical configuration search;
 - :mod:`repro.bench` — regenerates every figure/table of the paper's §5;
-- :mod:`repro.obs` — structured tracing, counters, and perf baselines.
+- :mod:`repro.obs` — structured tracing and counters.
 """
 
 from .blas.api import AugemBLAS, default_blas

@@ -24,17 +24,13 @@ Usage::
     python -m repro integrity check --threads 2
     python -m repro --trace run.jsonl tune gemm
     python -m repro trace report run.jsonl
-    python -m repro bench baseline record
-    python -m repro bench baseline check --threshold 0.15
-    python -m repro bench baseline record --threads 4 --path results/b4.json
     python -m repro serve start --gemm-threads 4
 
 ``generate`` writes (or prints) a complete GAS kernel; ``validate``
 parses an emitted ``.S`` file back and checks it against the numpy
 reference under the bundled emulator — no toolchain required.
 ``--trace`` records every pipeline stage, tuning trial, and toolchain
-call to a JSONL file that ``trace report`` renders; ``bench baseline``
-maintains the per-kernel GFLOPS regression gate (exit 3 on regression).
+call to a JSONL file that ``trace report`` renders.
 """
 
 from __future__ import annotations
@@ -463,38 +459,6 @@ def cmd_trace(args) -> int:
     raise SystemExit(f"unknown trace action {args.action!r}")
 
 
-def cmd_bench(args) -> int:
-    from .backend.compiler import ToolchainUnavailable
-    from .obs import baseline
-
-    if args.bench_target != "baseline":
-        raise SystemExit(f"unknown bench target {args.bench_target!r}")
-    try:
-        if args.action == "record":
-            record = baseline.record_baseline(
-                path=args.path, kernels=args.kernels, batches=args.batches,
-                threads=args.gemm_threads)
-            for kernel, entry in record["kernels"].items():
-                print(f"{kernel:<8} {entry['gflops']:>10.2f} GFLOPS")
-            axis = (f" (threads={record['threads']})"
-                    if "threads" in record else "")
-            print(f"recorded baseline for {record['arch']}{axis} "
-                  f"-> {args.path}")
-            return 0
-        rows = baseline.check_baseline(
-            path=args.path, batches=args.batches, threshold=args.threshold,
-            threads=args.gemm_threads)
-        print(baseline.render_check(rows, args.threshold))
-        return (baseline.EXIT_REGRESSION
-                if any(r.regressed for r in rows) else 0)
-    except baseline.BaselineError as exc:
-        print(f"baseline: {exc}", file=sys.stderr)
-        return 2
-    except ToolchainUnavailable as exc:
-        print(f"baseline unavailable: {exc}", file=sys.stderr)
-        return 2
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro",
                                      description=__doc__)
@@ -661,44 +625,11 @@ def main(argv=None) -> int:
     tr.add_argument("action", choices=["report"])
     tr.add_argument("file", help="trace file written via --trace/REPRO_TRACE")
 
-    b = sub.add_parser("bench",
-                       help="performance baselines (record / regression "
-                            "check)")
-    b.add_argument("bench_target", choices=["baseline"],
-                   metavar="baseline")
-    b.add_argument("action", choices=["record", "check"])
-    b.add_argument("--path", type=Path, default=None,
-                   help="baseline file (default results/baseline.json)")
-    b.add_argument("--kernels", nargs="+", metavar="KERNEL",
-                   default=None,
-                   choices=["gemm", "gemv", "axpy", "dot"],
-                   help="kernel families to record (default: all four)")
-    b.add_argument("--batches", type=int, default=5, metavar="N",
-                   help="timing batches per kernel (best batch wins)")
-    b.add_argument("--threshold", type=float, default=None, metavar="FRAC",
-                   help="tolerated fractional GFLOPS loss before check "
-                        "fails (default 0.15)")
-    b.add_argument("--threads", type=int, default=None, metavar="N",
-                   dest="gemm_threads",
-                   help="record/check gemm through the full parallel "
-                        "driver at this thread count (a baseline axis: "
-                        "check must match the recording; default: the "
-                        "historical micro-kernel workload)")
-
     args = parser.parse_args(argv)
     if args.trace:
         from .obs import start_trace
 
         start_trace(args.trace)
-    if args.command == "bench":
-        from .obs import baseline as _baseline
-
-        if args.path is None:
-            args.path = _baseline.DEFAULT_PATH
-        if args.kernels is None:
-            args.kernels = _baseline.DEFAULT_KERNELS
-        if args.threshold is None:
-            args.threshold = _baseline.DEFAULT_THRESHOLD
     try:
         return {
             "list-archs": cmd_list_archs,
@@ -710,7 +641,6 @@ def main(argv=None) -> int:
             "dispatch": cmd_dispatch,
             "integrity": cmd_integrity,
             "trace": cmd_trace,
-            "bench": cmd_bench,
         }[args.command](args)
     except BrokenPipeError:
         # downstream pager/head closed the pipe; not an error

@@ -3,7 +3,7 @@
 Every persistent artifact this runtime leans on — cache ``meta.json``
 records, tuning/quarantine JSON, session manifests and journals, the
 serve ``state.json``/``accounting.json`` pair, the dispatch verdict
-store, ``results/baseline.json`` — used to roll its own
+store — used to roll its own
 tempfile-and-``os.replace`` publish, with no fsync and no shared answer
 to ENOSPC.  This module centralizes both:
 

@@ -16,7 +16,6 @@ from .harness import (
     make_vendor_library,
     standard_lineup,
 )
-from .microkernel import microkernel_table
 from .report import FigureResult, Series, TableResult
 from .tables import ROUTINES, table5_platform, table6_level3
 
@@ -34,7 +33,6 @@ __all__ = [
     "fig21_ddot",
     "ALL_FIGURES",
     "table5_platform",
-    "microkernel_table",
     "table6_level3",
     "ROUTINES",
     "FigureResult",

@@ -4,6 +4,7 @@ Usage::
 
     python -m repro.bench fig18 [--paper-sizes] [--quick] [--naive]
     python -m repro.bench table6
+    python -m repro.bench ablations --quick
     python -m repro.bench all --out results/
 
 ``--tune`` runs the empirical tuner first and uses the winning
@@ -22,10 +23,10 @@ from .tables import table5_platform, table6_level3
 
 
 def _tuned_configs(verbose: bool, jobs: int = 1) -> dict:
-    from ..tuning.search import tune_kernel
+    from ..tuning import CANDIDATE_SPACES, tune_kernel
 
     configs = {}
-    for kernel in ("gemm", "gemv", "ger", "axpy", "dot"):
+    for kernel in CANDIDATE_SPACES:
         result = tune_kernel(kernel, verbose=verbose, jobs=jobs)
         configs[kernel] = result.best.config
         print(f"[tune] {kernel}: best = {result.best.describe()} "
@@ -37,7 +38,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro.bench",
                                      description=__doc__)
     parser.add_argument("target", choices=list(ALL_FIGURES)
-                        + ["table5", "table6", "microkernel", "all"])
+                        + ["table5", "table6", "ablations", "all"])
     parser.add_argument("--paper-sizes", action="store_true",
                         help="full paper-scale sweeps (slow)")
     parser.add_argument("--quick", action="store_true",
@@ -78,10 +79,10 @@ def main(argv=None) -> int:
         results.append(table6_level3(libraries=libraries,
                                      paper_sizes=args.paper_sizes,
                                      batches=batches))
-    if args.target in ("microkernel", "all"):
-        from .microkernel import microkernel_table
+    if args.target in ("ablations", "all"):
+        from .ablations import ablations_table
 
-        results.append(microkernel_table())
+        results.append(ablations_table(batches=batches))
 
     for r in results:
         print(r.render())

@@ -384,11 +384,6 @@ class _IntegrityWrapper:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def _kernel(self):
-        inner = self._inner
-        return getattr(inner, "kernel", None) \
-            or getattr(inner, "kernel_t", None)
-
     def _verified(self, report: Optional[IntegrityReport], t0: int,
                   mismatched: bool, corrected: bool) -> None:
         overhead = time.perf_counter_ns() - t0
@@ -412,10 +407,10 @@ class _IntegrityWrapper:
             if report is not None:
                 report.note("reference_recomputes")
 
-    def _corrupt(self, detail: str,
-                 report: Optional[IntegrityReport]) -> None:
+    def _corrupt(self, detail: str, report: Optional[IntegrityReport],
+                 kernel=None) -> None:
         event("integrity.mismatch", family=self.family, detail=detail[:200])
-        kernel = self._kernel()
+        kernel = kernel or getattr(self._inner, "kernel", None)
         if kernel is None:
             return
         verdict = self.integrity.record_corruption(self.family, kernel,
@@ -457,7 +452,12 @@ class IntegrityGemvDriver(_IntegrityWrapper):
                       n_terms):
             self._verified(integrity_report, t0, True, False)
             return out
-        self._corrupt("gemv sum identity violated twice", integrity_report)
+        # strike the kernel that ran: GemvDriver's branch, not a default
+        kernel_n = getattr(self._inner, "kernel_n", None)
+        ran_n = not trans and kernel_n is not None and a64.flags.c_contiguous
+        self._corrupt("gemv sum identity violated twice", integrity_report,
+                      kernel_n if ran_n
+                      else getattr(self._inner, "kernel_t", None))
         out = ref.ref_gemv(a, x, y, alpha, beta, trans)
         self._verified(integrity_report, t0, True, True)
         return out

@@ -1,14 +1,11 @@
-"""Pipeline observability: structured tracing, counters, perf baselines.
+"""Pipeline observability: structured tracing and counters.
 
-Three pieces, all zero-dependency and off by default:
+Two pieces, both zero-dependency and off by default:
 
 - :mod:`repro.obs.trace` — spans + events + counters serialized to JSONL
   (``REPRO_TRACE=<path>``, ``--trace <path>``, or :func:`start_trace`);
 - :mod:`repro.obs.report` — renders a recorded trace
-  (``python -m repro trace report <file>``);
-- :mod:`repro.obs.baseline` — records/checks per-kernel GFLOPS baselines
-  (``python -m repro bench baseline {record,check}``; check exits 3 on
-  a >15% regression).
+  (``python -m repro trace report <file>``).
 
 The call-site API is re-exported here so instrumented modules write
 ``from ..obs import span, event, incr``.  When no trace is active every

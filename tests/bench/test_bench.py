@@ -32,7 +32,8 @@ def libs(rng):
     y = rng.standard_normal(50)
     for lib in lineup:
         assert np.allclose(lib.dgemm(a, b), a @ b), lib.name
-        assert np.allclose(lib.dgemv_t(a, rng.standard_normal(24)).shape, (16,))
+        v = rng.standard_normal(24)
+        assert np.allclose(lib.dgemv_t(a, v), a.T @ v), lib.name
         assert np.isclose(lib.ddot(x, y), x @ y), lib.name
         yy = y.copy()
         lib.daxpy(2.0, x, yy)

@@ -346,6 +346,39 @@ def test_gemv_wrapper_reference_recompute(rng):
     assert report.reference_recomputes == 1
 
 
+def _emulated_gemv(corrupt_family: str):
+    """A real GemvDriver over emulated SSE kernels; the ``corrupt_family``
+    kernel ("gemv" or "gemv_n") adds 1000 to its first output element."""
+    from repro.blas.gemv import make_gemv
+    from repro.emu.run import call_kernel
+    from repro.isa.arch import GENERIC_SSE
+
+    def load(family, gk):
+        def kernel(*args):
+            call_kernel(gk, list(args))
+            if family == corrupt_family:
+                args[-1][0] += 1000.0
+        kernel.generated = gk
+        return kernel
+
+    return make_gemv(arch=GENERIC_SSE, loader=load)
+
+
+@pytest.mark.parametrize("trans,corrupt", [(False, "gemv_n"),
+                                           (True, "gemv")])
+def test_gemv_strike_hits_the_kernel_that_ran(trans, corrupt, rng):
+    inner = _emulated_gemv(corrupt)
+    driver = wrap_driver("gemv", inner, IntegrityChecker(mode="full"))
+    a = rng.standard_normal((16, 16))
+    x = rng.standard_normal(16)
+    got = driver(a, x, trans=trans)
+    assert np.allclose(got, (a.T if trans else a) @ x)
+    ran, idle = ((inner.kernel_t, inner.kernel_n) if trans
+                 else (inner.kernel_n, inner.kernel_t))
+    assert strike_counts() == {ran.generated.body_hash: 1}
+    assert idle.generated.body_hash not in strike_counts()
+
+
 class _TamperedGer:
     """A rank-1 update that flips one element of A for the first
     ``bad`` calls (``corrupt``-style silent damage), correct afterwards."""

@@ -1,8 +1,10 @@
 """Framework facade tests."""
 
+import numpy as np
 import pytest
 
 from repro.core.framework import Augem, default_config, stable_kernel_name
+from repro.emu.run import call_kernel
 from repro.isa.arch import GENERIC_SSE, HASWELL, PILEDRIVER, SANDYBRIDGE
 from repro.isa.instructions import Instr
 from repro.transforms.pipeline import OptimizationConfig
@@ -96,6 +98,25 @@ def test_schedule_flag_changes_order_not_content():
     def mnem_bag(gk):
         return sorted(i.mnemonic for i in gk.items if isinstance(i, Instr))
     assert mnem_bag(gk_sched) == mnem_bag(gk_plain)
+
+
+def test_unified_regalloc_matches_per_array_queues(any_arch, rng):
+    # the allocation strategy must never change results: one divisible
+    # tile under the emulator, unified pool vs per-array queues vs numpy
+    tile = dict(default_config("gemm", any_arch).unroll_jam)
+    mc, nc, kc = tile["i"], tile["j"], 8
+    a = rng.standard_normal(kc * mc)
+    b = rng.standard_normal(nc * kc)
+    ref = (b.reshape(nc, kc) @ a.reshape(kc, mc)).ravel()
+    outs = []
+    for unified in (False, True):
+        gk = Augem(arch=any_arch,
+                   unified_regalloc=unified).generate_named("gemm")
+        c = np.zeros(mc * nc)
+        call_kernel(gk, [mc, nc, kc, a, b, c, mc])
+        outs.append(c)
+    assert np.array_equal(outs[0], outs[1])
+    assert np.allclose(outs[1], ref)
 
 
 def test_generate_accepts_custom_source():
