@@ -44,6 +44,7 @@ from .isa.arch import (
     HASWELL,
     PILEDRIVER,
     SANDYBRIDGE,
+    SKYLAKE_X,
     ArchSpec,
     detect_host,
     get_arch,
@@ -67,6 +68,7 @@ __all__ = [
     "SANDYBRIDGE",
     "PILEDRIVER",
     "HASWELL",
+    "SKYLAKE_X",
     "GENERIC_SSE",
     "__version__",
 ]

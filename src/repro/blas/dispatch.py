@@ -4,7 +4,8 @@ The paper's end product is a *library*; serving one safely requires the
 last-mile guarantees BLIS-style stacks give their users.  This module
 implements them as an ordered **capability chain**
 
-    FMA3 (haswell) → AVX (sandybridge) → SSE (generic_sse) → reference
+    AVX-512 (skylake_x) → FMA3 (haswell) → AVX (sandybridge)
+        → SSE (generic_sse) → reference
 
 with two verification gates in front of every installed routine:
 
@@ -51,8 +52,7 @@ from ..backend.faults import inject_asm_fault, take_fault
 from ..backend.runner import NativeKernel, load_kernel
 from ..backend.sandbox import resolve_isolation, run_trial
 from ..core.framework import Augem, quarantine_key
-from ..isa.arch import (ALL_ARCHS, GENERIC_SSE, SANDYBRIDGE, ArchSpec,
-                        detect_host, forced_arch_name)
+from ..isa.arch import ALL_ARCHS, ArchSpec, detect_host, forced_arch_name
 from ..obs import event, incr, span
 from . import reference as ref
 from .level1 import unroll_of
@@ -88,9 +88,9 @@ REFERENCE_TIER = Tier(REFERENCE_TIER_NAME, None)
 
 
 def _rank(arch: ArchSpec) -> int:
-    """Capability rank: FMA > AVX > SSE."""
+    """Capability rank: FMA at 64 bytes > FMA > AVX > SSE."""
     if arch.has_fma:
-        return 3
+        return 4 if arch.vector_bytes == 64 else 3
     if arch.simd == "avx":
         return 2
     return 1
@@ -99,14 +99,15 @@ def _rank(arch: ArchSpec) -> int:
 def capability_chain(top: Optional[ArchSpec] = None) -> List[Tier]:
     """The ordered fallback chain starting at (and including) ``top``.
 
-    Standard lower tiers (sandybridge, generic_sse) with strictly lower
-    capability rank follow the top spec; the chain always terminates in
-    the reference tier.
+    Every modelled spec of strictly lower capability rank follows the top
+    spec, best first.  FMA4 (piledriver) is never a lower tier: no Intel
+    host runs it.  The chain always terminates in the reference tier.
     """
     top = top or detect_host()
-    specs = [top] + [a for a in (SANDYBRIDGE, GENERIC_SSE)
-                     if _rank(a) < _rank(top)]
-    return [Tier(a.name, a) for a in specs] + [REFERENCE_TIER]
+    lower = sorted((a for a in ALL_ARCHS.values()
+                    if _rank(a) < _rank(top) and a.fma != "fma4"),
+                   key=_rank, reverse=True)
+    return [Tier(a.name, a) for a in [top] + lower] + [REFERENCE_TIER]
 
 
 def default_chain() -> List[Tier]:

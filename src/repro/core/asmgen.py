@@ -353,10 +353,17 @@ class KernelCodeGen:
 
     def _extract_lane(self, src: Register, lane: int, dst: Register) -> None:
         avx = self.arch.simd == "avx"
-        wide = self.arch.vector_bytes == 32
-        if lane >= 2 and not wide:
-            raise CodegenError("lane >= 2 requires 256-bit registers")
-        if wide and lane >= 2:
+        if lane >= self.arch.doubles_per_vector:
+            raise CodegenError(
+                f"lane {lane} needs wider than {self.arch.vector_bytes}-byte "
+                f"registers")
+        if lane >= 4:  # 512-bit: bring the upper 256 bits down first
+            self.emit(instr("vextractf64x4", Imm(1), src.as_width(64),
+                            dst.ymm))
+            src, lane = dst, lane - 4
+            if lane == 0:
+                return
+        if lane >= 2:
             self.emit(instr("vextractf128", Imm(1), src.ymm, dst.xmm))
             if lane == 3:
                 self.emit(instr("vunpckhpd", dst.xmm, dst.xmm, dst.xmm))
@@ -550,7 +557,7 @@ class KernelCodeGen:
     def _epilogue(self) -> None:
         if self._used_epilogue_label:
             self.items.append(Label(self._epilogue_label))
-        if self.arch.simd == "avx" and self.arch.vector_bytes == 32:
+        if self.arch.simd == "avx" and self.arch.vector_bytes >= 32:
             self.emit(instr("vzeroupper"))
         if self.frame_size:
             self.emit(instr("add", Imm(self.frame_size), RSP))

@@ -29,9 +29,9 @@ from ..poet import cast as C
 from ..poet.parser import parse_function
 from ..poet.printer import to_c
 from ..transforms.pipeline import OptimizationConfig, optimize_c_kernel
-from .asmgen import generate_assembly_items
+from .asmgen import CodegenError, generate_assembly_items
 from .identifier import identify_templates
-from .vectorize import VectorPlan, plan_vectorization
+from .vectorize import SHUF_LANES, VectorPlan, plan_vectorization
 
 
 @dataclass
@@ -156,21 +156,25 @@ def default_config(kernel: str, arch: ArchSpec) -> OptimizationConfig:
             unroll=(("j", 4 * n),),
             prefetch_distance={"A": 16 * n},
         )
+    # the Level-1 kernels stream from memory: past 256 bits a longer body
+    # adds no bandwidth, only a longer remainder for the driver to finish
+    # in numpy, so 512-bit bodies keep the 256-bit element counts
+    s = min(n, 4)
     if kernel == "axpy":
         return OptimizationConfig(
-            unroll=(("i", 4 * n),),
-            prefetch_distance={"X": 16 * n, "Y": 16 * n},
+            unroll=(("i", 4 * s),),
+            prefetch_distance={"X": 16 * s, "Y": 16 * s},
         )
     if kernel == "scal":
         return OptimizationConfig(
-            unroll=(("i", 4 * n),),
-            prefetch_distance={"X": 16 * n},
+            unroll=(("i", 4 * s),),
+            prefetch_distance={"X": 16 * s},
         )
     if kernel == "dot":
         return OptimizationConfig(
-            unroll=(("i", 4 * n),),
-            split=(("i", "res", 4 * n),),
-            prefetch_distance={"X": 16 * n, "Y": 16 * n},
+            unroll=(("i", 4 * s),),
+            split=(("i", "res", 4 * s),),
+            prefetch_distance={"X": 16 * s, "Y": 16 * s},
         )
     raise KeyError(f"no default configuration for kernel {kernel!r}")
 
@@ -243,6 +247,12 @@ class Augem:
         from ..blas.kernels import KERNEL_SOURCES
 
         source, func_name = KERNEL_SOURCES[kernel]
+        n = self.arch.doubles_per_vector
+        if kernel == "gemm_shuf" and n not in SHUF_LANES:
+            raise CodegenError(
+                f"gemm_shuf: the Shuf method is implemented for "
+                f"{'/'.join(map(str, SHUF_LANES))}-lane vectors, not the "
+                f"{n} lanes of {self.arch.name}")
         cfg = config or default_config(kernel, self.arch)
         return self.generate(source, cfg, strategy=strategy,
                              name=name or func_name)

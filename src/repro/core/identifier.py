@@ -24,7 +24,7 @@ instance description consumed by the Template Optimizer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..poet import cast as C
 from .templates import (
@@ -325,19 +325,16 @@ class TemplateIdentifier:
     @staticmethod
     def _stmts_of_stores(group: UnrolledStore, raw: List[C.Node]) -> List[C.Node]:
         """Original statements belonging to this store group (3 per store)."""
+        windows: Dict[tuple, List[C.Node]] = {}
+        for k in range(0, len(raw), 3):
+            cand = match_mm_store(raw, k)
+            if cand is not None:
+                windows.setdefault((cand.c_ptr, cand.c_off, cand.res),
+                                   raw[k:k + 3])
         grp_stmts: List[C.Node] = []
         for store in group.stores:
-            for k in range(0, len(raw), 3):
-                window = raw[k:k + 3]
-                cand = match_mm_store(window, 0)
-                if (
-                    cand is not None
-                    and cand.c_ptr == store.c_ptr
-                    and cand.c_off == store.c_off
-                    and cand.res == store.res
-                ):
-                    grp_stmts.extend(window)
-                    break
+            grp_stmts.extend(windows.get(
+                (store.c_ptr, store.c_off, store.res), ()))
         return grp_stmts
 
 

@@ -22,6 +22,7 @@ from ..poet import cast as C
 from .identifier import SumReduce
 from .regalloc import array_root
 from .templates import MMComp, MMStore, MVComp, UnrolledComp, UnrolledMVComp, UnrolledStore
+from .vectorize import SHUF_LANES
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +185,7 @@ def _emit_shuf(cg, payload: UnrolledComp, n: int) -> None:
     and for n=4 the 128-bit half swap (``vperm2f128``) plus their
     composition.  The store optimizer un-permutes.
     """
-    assert n in (2, 4), "Shuf method implemented for 2- and 4-lane vectors"
+    assert n in SHUF_LANES, "Shuf method implemented for 2- and 4-lane vectors"
     grid = {}
     a_lanes = sorted({(c.a_ptr, c.a_off) for c in payload.comps},
                      key=lambda t: t[1] or 0)

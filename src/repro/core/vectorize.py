@@ -68,6 +68,12 @@ class VectorPlan:
             self.pack_of[m] = pack
 
 
+#: lane counts the Shuf method's XOR permutations are implemented for (the
+#: in-pair swap and the 128-bit half swap); 8-lane zmm vectors would need
+#: cross-256-bit permutes the mapping rules do not have
+SHUF_LANES = (2, 4)
+
+
 def _chunk(seq: Sequence, n: int) -> List[List]:
     return [list(seq[i:i + n]) for i in range(0, len(seq), n)]
 
@@ -174,7 +180,7 @@ def _plan_unrolled_comp(plan: VectorPlan, region: C.TaggedRegion,
     shuf_ok = (
         payload.n1 == n
         and payload.n2 == n
-        and n in (2, 4)
+        and n in SHUF_LANES
         and payload.a_contiguous
         and payload.b_contiguous
     )

@@ -29,14 +29,14 @@ from ..isa.instructions import (
     Label,
 )
 from ..isa.operands import Imm, LabelRef, Mem
-from ..isa.registers import GP, XMM, YMM, Register
+from ..isa.registers import GP, VEC, Register
 
 
 class AsmParseError(ValueError):
     """Unrecognized assembly syntax."""
 
 
-_REG_TABLES = {**GP, **XMM, **YMM}
+_REG_TABLES = {**GP, **VEC}
 
 _MEM_RE = re.compile(
     r"^(-?\d+)?\(\s*(%\w+)?\s*(?:,\s*(%\w+)\s*(?:,\s*(\d+))?)?\s*\)$"

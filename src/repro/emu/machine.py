@@ -6,10 +6,10 @@ This gives the test suite an oracle for *any* architecture spec (including
 FMA4/Piledriver code the host cannot run) and validates instruction
 semantics independently of the native toolchain.
 
-Supported: the GP/SSE/AVX/FMA vocabulary in
+Supported: the GP/SSE/AVX/AVX-512F/FMA vocabulary in
 :data:`repro.isa.instructions.INSTR_INFO`.  Vector registers are modelled
-as four float64 lanes; VEX-encoded 128-bit writes zero the upper lanes,
-legacy SSE writes preserve them, matching hardware.
+as eight float64 lanes (zmm); VEX/EVEX writes zero every lane above the
+operand width, legacy SSE writes preserve them, matching hardware.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def _fma(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 @dataclass
 class MachineState:
     gp: Dict[str, int] = field(default_factory=dict)
-    vec: np.ndarray = field(default_factory=lambda: np.zeros((16, 4)))
+    vec: np.ndarray = field(default_factory=lambda: np.zeros((16, 8)))
     # last flag-setting operation, stored as (signed_result_for_zero_cmp)
     cmp_dst: int = 0
     cmp_src: int = 0
@@ -124,7 +124,7 @@ class Machine:
     # vector lanes -------------------------------------------------------
     @staticmethod
     def _lanes(reg: Register) -> int:
-        return 4 if reg.width == 32 else 2
+        return reg.width // 8
 
     def _vreg(self, reg: Register) -> np.ndarray:
         return self.state.vec[reg.index]
@@ -141,7 +141,7 @@ class Machine:
         if isinstance(op, Register):
             v = self._vreg(op)
             v[: len(values)] = values
-            if vex:  # VEX write zeroes lanes above the operand width
+            if vex:  # VEX/EVEX write zeroes lanes above the operand width
                 v[len(values):] = 0.0
         elif isinstance(op, Mem):
             self.mem.write_f64(self._mem_addr(op), values)
@@ -425,6 +425,12 @@ class Machine:
             imm, src, dst = ops
             s = self._read_vec(src, 4)
             half = s[2:4] if imm.value & 1 else s[0:2]
+            self._write_vec(dst, half, vex=True)
+            return pc + 1
+        if mn == "vextractf64x4":
+            imm, src, dst = ops
+            s = self._read_vec(src, 8)
+            half = s[4:8] if imm.value & 1 else s[0:4]
             self._write_vec(dst, half, vex=True)
             return pc + 1
         if mn == "vinsertf128":

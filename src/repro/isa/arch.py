@@ -6,8 +6,9 @@ An :class:`ArchSpec` tells the template optimizers which SIMD mode to use
 budget used by the per-array register-queue allocator (§3.1).
 
 The two evaluation platforms of the paper (Table 5) are modelled, along
-with a generic SSE2 target (standing in for the pre-AVX GotoBLAS code path)
-and Haswell (this container's host, AVX2+FMA3).
+with a generic SSE2 target (standing in for the pre-AVX GotoBLAS code path),
+Haswell (AVX2+FMA3) and Skylake-X (AVX-512F: the same templates and mapping
+rules at 64-byte width).
 """
 
 from __future__ import annotations
@@ -17,15 +18,17 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from .registers import VEC_PREFIX
+
 
 @dataclass(frozen=True)
 class ArchSpec:
     """Everything the generator needs to know about a target CPU."""
 
     name: str
-    simd: str  # "sse" or "avx"
+    simd: str  # "sse" or "avx" (AVX-512 keeps AVX's three-operand forms)
     fma: Optional[str] = None  # None, "fma3", "fma4"
-    vector_bytes: int = 16  # SIMD register width
+    vector_bytes: int = 16  # SIMD register width: 16, 32 or 64
     n_vector_regs: int = 16
     cache_line: int = 64
     l1d_bytes: int = 32 * 1024
@@ -42,8 +45,9 @@ class ArchSpec:
             raise ValueError(f"bad fma flavour {self.fma!r}")
         if self.simd == "sse" and self.vector_bytes != 16:
             raise ValueError("SSE vector width is 16 bytes")
-        if self.simd == "avx" and self.vector_bytes not in (16, 32):
-            raise ValueError("AVX vector width is 16 or 32 bytes")
+        if self.vector_bytes not in VEC_PREFIX:
+            raise ValueError(f"vector width must be one of "
+                             f"{sorted(VEC_PREFIX)} bytes")
 
     @property
     def doubles_per_vector(self) -> int:
@@ -94,6 +98,21 @@ HASWELL = ArchSpec(
     description="Intel Haswell-class (AVX2 + FMA3)",
 )
 
+#: Intel Skylake-X and later: AVX-512F with FMA.  Deliberately limited to
+#: the 16 VEX-addressable registers (zmm16-31 need EVEX-only encodings), so
+#: the register plan is Haswell's: 12 accumulators, 3 A vectors, 1 broadcast.
+SKYLAKE_X = ArchSpec(
+    name="skylake_x",
+    simd="avx",
+    fma="fma3",
+    vector_bytes=64,
+    n_vector_regs=16,
+    l1d_bytes=32 * 1024,
+    l2_bytes=1024 * 1024,
+    prefetch_distance=64,
+    description="Intel Skylake-X-class (AVX-512F + FMA, 512-bit zmm)",
+)
+
 #: Generic SSE2 x86-64 — the pre-AVX code path (GotoBLAS-era hardware).
 GENERIC_SSE = ArchSpec(
     name="generic_sse",
@@ -104,7 +123,8 @@ GENERIC_SSE = ArchSpec(
 )
 
 ALL_ARCHS = {
-    a.name: a for a in (SANDYBRIDGE, PILEDRIVER, HASWELL, GENERIC_SSE)
+    a.name: a
+    for a in (SANDYBRIDGE, PILEDRIVER, HASWELL, SKYLAKE_X, GENERIC_SSE)
 }
 
 
@@ -182,7 +202,9 @@ def detect_host(cpuinfo_path: str = _DEFAULT_CPUINFO) -> ArchSpec:
         return GENERIC_SSE
     flags_match = re.search(r"^flags\s*:\s*(.*)$", text, re.M)
     flags = set(flags_match.group(1).split()) if flags_match else set()
-    if "avx2" in flags and "fma" in flags:
+    if "avx512f" in flags and "avx2" in flags and "fma" in flags:
+        spec = SKYLAKE_X
+    elif "avx2" in flags and "fma" in flags:
         spec = HASWELL
     elif "avx" in flags:
         spec = SANDYBRIDGE

@@ -104,6 +104,7 @@ INSTR_INFO = {
     "vpermilpd": _I(("I", "R", "W")),
     "vperm2f128": _I(("I", "R", "R", "W"), latency=3),
     "vextractf128": _I(("I", "R", "W"), latency=3),
+    "vextractf64x4": _I(("I", "R", "W"), latency=3),
     "vinsertf128": _I(("I", "R", "R", "W"), latency=3),
     "vunpcklpd": _I(("R", "R", "W")),
     "vunpckhpd": _I(("R", "R", "W")),

@@ -11,6 +11,10 @@ them to concrete machine instructions according to the target
 - FMA3: ``Mul+Add`` collapses to ``vfmadd231pd r0,r1,r3`` (Table 1 line 3).
 - FMA4: ``vfmaddpd r0,r1,r3,r3`` (Table 1 line 4; four-operand AMD form).
 
+Vector width is data: the same rules emit xmm, ymm or zmm operands from
+``ArchSpec.vector_bytes``.  AVX-512 keeps AVX's three-operand forms, so
+only broadcasts, zeroing and the horizontal fold look at the width.
+
 All methods return ``List[Instr]`` so multi-instruction lowerings compose
 uniformly.
 """
@@ -117,7 +121,13 @@ class MappingRules:
         return [instr(mn, self._v(src), self._v(dst))]
 
     def vzero(self, reg: Register) -> List[Instr]:
-        v = self._v(reg)
+        """Zero the whole register.
+
+        At 64 bytes the VEX ``vxorpd %xmm`` form is used: a VEX write zeroes
+        bits 511:128 too, and it needs only AVX512F (EVEX ``vxorpd`` on zmm
+        is an AVX512DQ instruction).
+        """
+        v = reg.xmm if self.arch.vector_bytes == 64 else self._v(reg)
         if self.avx:
             return [instr("vxorpd", v, v, v)]
         return [instr("xorpd", v, v)]
@@ -125,10 +135,10 @@ class MappingRules:
     def vdup(self, src: Mem, dst: Register, comment: str = None) -> List[Instr]:
         """``Vdup``: load one element and replicate it across all lanes.
 
-        SSE(3): ``movddup``; AVX-256: ``vbroadcastsd`` (memory source —
+        SSE(3): ``movddup``; AVX-256/512: ``vbroadcastsd`` (memory source —
         the only form Sandy Bridge supports); AVX-128: ``vmovddup``.
         """
-        if self.avx and self.arch.vector_bytes == 32:
+        if self.avx and self.arch.vector_bytes >= 32:
             return [instr("vbroadcastsd", src, self._v(dst), comment=comment)]
         if self.avx:
             return [instr("vmovddup", src, dst.xmm, comment=comment)]
@@ -188,7 +198,7 @@ class MappingRules:
         the in-lane half of the AVX Shuf method (``vpermilpd $5``).
         """
         if self.avx:
-            imm = 5 if self.arch.vector_bytes == 32 else 1
+            imm = 0x55 & ((1 << self.arch.doubles_per_vector) - 1)
             return [instr("vpermilpd", Imm(imm), self._v(src), self._v(dst))]
         out = []
         if dst.index != src.index:
@@ -239,11 +249,17 @@ class MappingRules:
                           comment: str = None) -> List[Instr]:
         """Sum all lanes of ``acc`` into its low scalar lane.
 
+        512-bit: fold the upper 256 bits onto the lower, then as 256-bit;
         256-bit: extract high half, add, then fold the remaining pair;
         128-bit: fold the pair with an unpack + add.
         """
         out: List[Instr] = []
-        if self.avx and self.arch.vector_bytes == 32:
+        if self.avx and self.arch.vector_bytes == 64:
+            out.append(instr("vextractf64x4", Imm(1), acc.as_width(64),
+                             tmp.ymm, comment=comment))
+            out.append(instr("vaddpd", tmp.ymm, acc.ymm, acc.ymm))
+            comment = None
+        if self.avx and self.arch.vector_bytes >= 32:
             out.append(
                 instr("vextractf128", Imm(1), acc.ymm, tmp.xmm, comment=comment)
             )

@@ -10,9 +10,9 @@ from typing import List, Tuple
 class Register:
     """A machine register.
 
-    :param name: canonical name (``rax``, ``xmm3``, ``ymm3``).
+    :param name: canonical name (``rax``, ``xmm3``, ``ymm3``, ``zmm3``).
     :param kind: ``"gp"`` or ``"vec"``.
-    :param width: width in bytes (8 for GP, 16 for xmm, 32 for ymm).
+    :param width: width in bytes (8 for GP, 16/32/64 for xmm/ymm/zmm).
     """
 
     name: str
@@ -24,7 +24,7 @@ class Register:
 
     @property
     def index(self) -> int:
-        """Hardware encoding index (xmm3 and ymm3 share index 3)."""
+        """Hardware encoding index (xmm3, ymm3 and zmm3 share index 3)."""
         if self.kind == "vec":
             return int(self.name[3:])
         return GP_ORDER.index(self.name)
@@ -33,8 +33,7 @@ class Register:
         """Same physical vector register at a different width."""
         if self.kind != "vec":
             raise ValueError("as_width applies to vector registers")
-        prefix = "xmm" if width == 16 else "ymm"
-        return Register(f"{prefix}{self.index}", "vec", width)
+        return vec(self.index, width)
 
     @property
     def xmm(self) -> "Register":
@@ -51,8 +50,15 @@ GP_ORDER = [
 ]
 
 GP = {n: Register(n, "gp", 8) for n in GP_ORDER}
-XMM = {f"xmm{i}": Register(f"xmm{i}", "vec", 16) for i in range(16)}
-YMM = {f"ymm{i}": Register(f"ymm{i}", "vec", 32) for i in range(16)}
+
+#: vector register name prefix per width in bytes
+VEC_PREFIX = {16: "xmm", 32: "ymm", 64: "zmm"}
+
+#: the 16 VEX-addressable vector registers at every width, by name
+VEC = {f"{p}{i}": Register(f"{p}{i}", "vec", w)
+       for w, p in VEC_PREFIX.items() for i in range(16)}
+XMM = {n: r for n, r in VEC.items() if r.width == 16}
+YMM = {n: r for n, r in VEC.items() if r.width == 32}
 
 RAX, RCX, RDX, RBX = GP["rax"], GP["rcx"], GP["rdx"], GP["rbx"]
 RSP, RBP, RSI, RDI = GP["rsp"], GP["rbp"], GP["rsi"], GP["rdi"]
@@ -69,12 +75,11 @@ def ymm(i: int) -> Register:
 
 
 def vec(i: int, width: int) -> Register:
-    """Vector register ``i`` at the given width (16 -> xmm, 32 -> ymm)."""
-    if width == 16:
-        return xmm(i)
-    if width == 32:
-        return ymm(i)
-    raise ValueError(f"unsupported vector width {width}")
+    """Vector register ``i`` at the given width (16/32/64 -> x/y/zmm)."""
+    prefix = VEC_PREFIX.get(width)
+    if prefix is None:
+        raise ValueError(f"unsupported vector width {width}")
+    return VEC[f"{prefix}{i}"]
 
 
 class SysVABI:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, fields
-from typing import Iterator, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 
 # ---------------------------------------------------------------------------
@@ -87,30 +87,61 @@ FLOAT_P = CType("float", 1)
 # ---------------------------------------------------------------------------
 
 
+#: node class -> its dataclass field names (``fields()`` is slow, and the
+#: transforms walk and clone hundreds of thousands of nodes per kernel)
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
+def field_names(cls: type) -> Tuple[str, ...]:
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
+    return names
+
+
+def _clone_value(v):
+    """Deep copy of one attribute value of a node."""
+    if isinstance(v, Node):
+        return v.clone()
+    if isinstance(v, list):
+        return [_clone_value(item) for item in v]
+    if v is None or isinstance(v, (str, int, float)):
+        return v
+    if isinstance(v, CType):
+        return CType(v.base, v.ptr)
+    return copy.deepcopy(v)
+
+
 @dataclass
 class Node:
     """Base class of every AST node."""
 
-    def children(self) -> Iterator["Node"]:
-        """Yield direct child nodes (skips None / non-node fields)."""
-        for f in fields(self):
-            v = getattr(self, f.name)
+    def children(self) -> List["Node"]:
+        """Direct child nodes, in field order (skips None / non-node fields)."""
+        out = []
+        for name in field_names(type(self)):
+            v = getattr(self, name)
             if isinstance(v, Node):
-                yield v
+                out.append(v)
             elif isinstance(v, (list, tuple)):
-                for item in v:
-                    if isinstance(item, Node):
-                        yield item
+                out.extend(item for item in v if isinstance(item, Node))
+        return out
 
     def walk(self) -> Iterator["Node"]:
         """Yield this node and all descendants, pre-order."""
-        yield self
-        for c in self.children():
-            yield from c.walk()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children()))
 
     def clone(self) -> "Node":
-        """Deep copy of the subtree."""
-        return copy.deepcopy(self)
+        """Deep copy of the subtree, in-place annotations included."""
+        cls = type(self)
+        new = cls.__new__(cls)
+        new.__dict__.update((k, _clone_value(v))
+                            for k, v in self.__dict__.items())
+        return new
 
     # Printed form doubles as a readable repr for debugging/tests.
     def __str__(self) -> str:

@@ -33,14 +33,9 @@ class SymbolTable:
         for p in fn.params:
             st.declare(p.name, p.ctype)
             st.params.append(p.name)
-        for node in fn.body.walk():
+        for node in fn.body.walk():  # descends into TaggedRegion.stmts too
             if isinstance(node, C.Decl):
                 st.declare(node.name, node.ctype)
-            elif isinstance(node, C.TaggedRegion):
-                for s in node.stmts:
-                    for inner in s.walk():
-                        if isinstance(inner, C.Decl):
-                            st.declare(inner.name, inner.ctype)
         return st
 
     def declare(self, name: str, ctype: C.CType) -> None:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
 from typing import Callable, Optional
 
 from . import cast as C
@@ -48,10 +47,10 @@ class NodeTransformer:
         return node
 
     def _rewrite_children(self, node: C.Node) -> C.Node:
-        for f in fields(node):
-            v = getattr(node, f.name)
+        for name in C.field_names(type(node)):
+            v = getattr(node, name)
             if isinstance(v, C.Node):
-                setattr(node, f.name, self.transform(v))
+                setattr(node, name, self.transform(v))
             elif isinstance(v, list):
                 new_list = []
                 for item in v:
@@ -65,7 +64,7 @@ class NodeTransformer:
                             new_list.append(r)
                     else:
                         new_list.append(item)
-                setattr(node, f.name, new_list)
+                setattr(node, name, new_list)
         return node
 
 

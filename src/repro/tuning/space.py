@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
+from ..core.vectorize import SHUF_LANES
 from ..isa.arch import ArchSpec
 from ..transforms.pipeline import OptimizationConfig
 
@@ -47,7 +48,7 @@ def gemm_candidates(arch: ArchSpec, layout: str = "dup") -> List[Candidate]:
                         prefetch_distance=pf,
                     )
                     out.append(Candidate(cfg))
-    if layout == "shuf":
+    if layout == "shuf" and n in SHUF_LANES:
         # the Shuf method applies to n x n grids on this layout
         cfg = OptimizationConfig(unroll_jam=(("j", n), ("i", n)))
         out.append(Candidate(cfg, strategy="shuf"))

@@ -30,6 +30,9 @@ from repro.blas.ger import GerDriver
 from repro.blas.level1 import AxpyDriver, DotDriver, ScalDriver
 from repro.core.framework import Augem
 from repro.emu.run import call_items
+from repro.isa.arch import SKYLAKE_X
+
+from tests.conftest import needs_avx512
 
 
 class _EmuKernel:
@@ -158,6 +161,58 @@ def test_ger_nan_rule_emulator_and_reference_tiers(any_arch):
         assert driver(0.0, x, y, untouched) is untouched
         assert np.array_equal(untouched, a0)
         assert np.array_equal(ref.ref_ger(0.0, x, y, a0), a0)
+
+
+@needs_avx512
+def test_zmm_kernels_native_bit_equal_to_emulator(rng):
+    """Every skylake_x family, through the same driver, natively and in
+    the emulator: the zmm subset of the emulator is pinned to silicon."""
+    from repro.blas.gemm import make_gemm
+    from repro.blas.gemv import make_gemv
+    from repro.blas.ger import make_ger
+    from repro.blas.level1 import make_axpy, make_dot, make_scal
+
+    arch = SKYLAKE_X
+    emu = lambda family: _emu_kernel(arch, family)  # noqa: E731
+
+    def same(got, want, what):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), what
+
+    native, emulated = make_gemm(arch=arch), GemmDriver(emu("gemm"))
+    for m, k, n in [(13, 9, 7), (25, 11, 5)]:
+        a, b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
+        c = rng.standard_normal((m, n))
+        same(native(a, b, c, alpha=1.25, beta=-0.5),
+             emulated(a, b, c, alpha=1.25, beta=-0.5), ("gemm", m, k, n))
+
+    native = make_gemv(arch=arch)
+    emulated = GemvDriver(emu("gemv"), emu("gemv_n"))
+    for m, n in [(13, 7), (37, 41)]:
+        a, x, xt = (rng.standard_normal((m, n)), rng.standard_normal(n),
+                    rng.standard_normal(m))
+        same(native(a, x, alpha=1.5), emulated(a, x, alpha=1.5),
+             ("gemv_n", m, n))
+        same(native(a, xt, trans=True), emulated(a, xt, trans=True),
+             ("gemv", m, n))
+
+    native, emulated = make_ger(arch=arch), GerDriver(emu("ger"))
+    u = native.unroll
+    for m, n in [(3, u + 5), (2, 2 * u)]:
+        a, x, y = (rng.standard_normal((m, n)), rng.standard_normal(m),
+                   rng.standard_normal(n))
+        same(native(0.5, x, y, a.copy()), emulated(0.5, x, y, a.copy()),
+             ("ger", m, n))
+
+    axpy = (make_axpy(arch=arch), AxpyDriver(emu("axpy")))
+    dot = (make_dot(arch=arch), DotDriver(emu("dot")))
+    scal = (make_scal(arch=arch), ScalDriver(emu("scal")))
+    for n in sorted({1, axpy[0].unroll + 1, 2 * axpy[0].unroll + 5}):
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        ys = [drv(2.5, x, y.copy()) for drv in axpy]
+        same(ys[0], ys[1], ("axpy", n))
+        same(dot[0](x, y), dot[1](x, y), ("dot", n))
+        xs = [drv(-0.75, x.copy()) for drv in scal]
+        same(xs[0], xs[1], ("scal", n))
 
 
 # -- facade conformance (any serving tier must match reference) -------------

@@ -25,11 +25,12 @@ from repro.isa.arch import (
     HASWELL,
     PILEDRIVER,
     SANDYBRIDGE,
+    SKYLAKE_X,
     detect_host,
     reset_host_cache,
 )
 
-from tests.conftest import needs_cc
+from tests.conftest import needs_avx512, needs_cc
 
 
 @pytest.fixture(autouse=True)
@@ -58,6 +59,8 @@ def _check_axpy(driver):
 # -- chain shape ------------------------------------------------------------
 
 @pytest.mark.parametrize("top,names", [
+    (SKYLAKE_X, ["skylake_x", "haswell", "sandybridge", "generic_sse",
+                 "reference"]),
     (HASWELL, ["haswell", "sandybridge", "generic_sse", "reference"]),
     (PILEDRIVER, ["piledriver", "sandybridge", "generic_sse", "reference"]),
     (SANDYBRIDGE, ["sandybridge", "generic_sse", "reference"]),
@@ -293,3 +296,53 @@ def test_quarantined_kernel_is_never_loaded(tmp_path, monkeypatch):
     assert info.tier == chain.tiers[1].name
     assert "quarantined" in info.attempts[0]
     _check_axpy(driver)
+
+
+# -- the AVX-512 tier on a host that has it ------------------------------------
+
+def _dgemm_shapes(rng):
+    # a gemm_square-class block and a ragged one with partial 24x4 tiles
+    return [(rng.standard_normal((m, k)), rng.standard_normal((k, n)),
+             rng.standard_normal((m, n)))
+            for m, k, n in [(192, 256, 160), (37, 199, 61)]]
+
+
+@needs_avx512
+def test_zmm_probe_sigill_serves_haswell_with_identical_bits(monkeypatch,
+                                                            rng):
+    from repro.blas.api import AugemBLAS
+
+    operands = _dgemm_shapes(rng)
+    blas = AugemBLAS()
+    want = [blas.dgemm(a, b, c, alpha=1.25, beta=0.5) for a, b, c in operands]
+    assert blas.dispatch_report()["gemm"].tier == "skylake_x"
+
+    reset_dispatch_state()
+    # build #0 of the chain is the top tier's ISA probe: it hits ud2
+    monkeypatch.setenv("REPRO_FAULT_INJECT", "ill@#0")
+    blas = AugemBLAS()
+    got = [blas.dgemm(a, b, c, alpha=1.25, beta=0.5) for a, b, c in operands]
+    info = blas.dispatch_report()["gemm"]
+    assert info.tier == "haswell" and info.demoted
+    assert info.attempts[0].startswith("skylake_x: ISA probe failed")
+    ok, detail = tier_verdict(blas.chain.top)
+    assert not ok and detail.startswith("crashed")
+    # same kc slices, same ascending-k FMA chain per element: same bits
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@needs_avx512
+def test_shuf_layout_at_512_bits_demotes_to_haswell(rng):
+    from repro.blas.api import AugemBLAS
+
+    blas = AugemBLAS(layout="shuf")
+    a, b = rng.standard_normal((40, 60)), rng.standard_normal((60, 30))
+    assert np.allclose(blas.dgemm(a, b), a @ b)
+    info = blas.dispatch_report()["gemm"]
+    assert info.family == "gemm_shuf"
+    assert info.tier == "haswell" and info.demoted
+    assert info.attempts[0].startswith("skylake_x: CodegenError")
+    assert "Shuf method" in info.attempts[0]
+    # the tier itself stays trusted: only this routine walked past it
+    assert tier_verdict(blas.chain.top) == (True, "ok")

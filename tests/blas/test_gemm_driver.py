@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blas.gemm import BlockSizes, GemmDriver, kernel_multiples, make_gemm
+from repro.core.asmgen import CodegenError
+from repro.isa.arch import SKYLAKE_X
 from repro.transforms.pipeline import OptimizationConfig
 
-from tests.conftest import needs_cc
+from tests.conftest import host_shuf_arch, needs_cc
 
 pytestmark = needs_cc
 
@@ -101,10 +103,16 @@ def test_custom_block_sizes(rng):
 
 
 def test_shuf_layout_driver(rng):
-    gemm_shuf = make_gemm(layout="shuf")
+    gemm_shuf = make_gemm(arch=host_shuf_arch(), layout="shuf")
     a = rng.standard_normal((40, 60))
     b = rng.standard_normal((60, 30))
     assert np.allclose(gemm_shuf(a, b), a @ b)
+
+
+def test_shuf_layout_at_512_bits_is_a_codegen_error():
+    # the Shuf method stops at 4 lanes; dispatch demotes layout="shuf"
+    with pytest.raises(CodegenError, match="Shuf method"):
+        make_gemm(arch=SKYLAKE_X, layout="shuf")
 
 
 def test_fortran_ordered_inputs(gemm, rng):

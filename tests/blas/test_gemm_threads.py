@@ -200,6 +200,17 @@ def test_pack_pool_alias_guards():
     assert stats["allocations"] == 1
 
 
+@pytest.mark.parametrize("size", [1, 7, 24 * 256, 10_001])
+def test_pack_pool_buffers_start_on_a_cache_line(size):
+    # a zmm load from an unaligned panel straddles two cache lines
+    pool = PackBufferPool()
+    buf = pool.acquire(size)
+    assert buf.shape == (size,) and buf.flags.c_contiguous
+    assert buf.ctypes.data % 64 == 0
+    pool.release(buf)
+    assert pool.acquire(size) is buf  # the reused spare keeps it
+
+
 def test_pack_pool_bounds_free_list():
     pool = PackBufferPool(max_free_per_size=2)
     bufs = [pool.acquire(8) for _ in range(5)]

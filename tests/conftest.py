@@ -18,11 +18,17 @@ import pytest
 os.environ.setdefault("REPRO_CACHE_DIR", "off")
 
 from repro.backend.compiler import have_native_toolchain
-from repro.isa.arch import GENERIC_SSE, HASWELL, PILEDRIVER, SANDYBRIDGE, detect_host
+from repro.core.vectorize import SHUF_LANES
+from repro.isa.arch import (GENERIC_SSE, HASWELL, PILEDRIVER, SANDYBRIDGE,
+                            SKYLAKE_X, detect_host)
 
 HAVE_CC = have_native_toolchain()
 
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler available")
+
+needs_avx512 = pytest.mark.skipif(
+    not HAVE_CC or detect_host().vector_bytes != 64,
+    reason="needs a C compiler and an AVX-512F host")
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +97,18 @@ def host_runnable_archs():
         out.append(SANDYBRIDGE)
     if host.fma == "fma3":
         out.append(HASWELL)
+    if host.vector_bytes == 64:
+        out.append(SKYLAKE_X)
     return out
 
 
-ALL_ARCH_SPECS = [GENERIC_SSE, SANDYBRIDGE, PILEDRIVER, HASWELL]
+def host_shuf_arch():
+    """The widest host-runnable arch the Shuf method is implemented for."""
+    return [a for a in host_runnable_archs()
+            if a.doubles_per_vector in SHUF_LANES][-1]
+
+
+ALL_ARCH_SPECS = [GENERIC_SSE, SANDYBRIDGE, PILEDRIVER, HASWELL, SKYLAKE_X]
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,16 @@
 """Framework facade tests."""
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.core.asmgen import CodegenError
 from repro.core.framework import Augem, default_config, stable_kernel_name
+from repro.core.vectorize import SHUF_LANES
 from repro.emu.run import call_kernel
-from repro.isa.arch import GENERIC_SSE, HASWELL, PILEDRIVER, SANDYBRIDGE
+from repro.isa.arch import (GENERIC_SSE, HASWELL, PILEDRIVER, SANDYBRIDGE,
+                            SKYLAKE_X)
 from repro.isa.instructions import Instr
 from repro.transforms.pipeline import OptimizationConfig
 
@@ -39,6 +44,10 @@ def test_stable_kernel_name_deterministic_and_distinct():
 
 @pytest.mark.parametrize("kernel", ["gemm", "gemm_shuf", "gemv", "axpy", "dot"])
 def test_generate_named_all_kernels(kernel, any_arch):
+    if kernel == "gemm_shuf" and any_arch.doubles_per_vector not in SHUF_LANES:
+        with pytest.raises(CodegenError):
+            Augem(arch=any_arch).generate_named(kernel)
+        return
     gk = Augem(arch=any_arch).generate_named(kernel)
     assert gk.asm_text.strip().endswith(f".size {gk.name}, .-{gk.name}")
     assert any(isinstance(i, Instr) for i in gk.items)
@@ -55,6 +64,23 @@ def test_fma_used_only_when_available():
 def test_piledriver_uses_fma4():
     gk = Augem(arch=PILEDRIVER).generate_named("gemm")
     assert "vfmaddpd" in gk.asm_text
+
+
+@pytest.mark.parametrize("kernel", ["gemm", "gemv", "gemv_n", "ger", "axpy",
+                                    "dot", "scal"])
+def test_skylake_x_emits_zmm_from_the_same_templates(kernel):
+    gk = Augem(arch=SKYLAKE_X).generate_named(kernel)
+    ymm = Augem(arch=HASWELL).generate_named(kernel)
+    assert "%zmm" in gk.asm_text and "vzeroupper" in gk.asm_text
+    assert gk.template_counts == ymm.template_counts
+
+
+def test_skylake_x_gemm_keeps_the_16_register_plan():
+    # 4x24 tile: 12 zmm accumulators + 3 A vectors + 1 broadcast
+    gk = Augem(arch=SKYLAKE_X).generate_named("gemm")
+    assert dict(gk.config.unroll_jam) == {"j": 4, "i": 24}
+    used = {int(r) for r in re.findall(r"%zmm(\d+)", gk.asm_text)}
+    assert used == set(range(16))
 
 
 def test_sse_kernel_has_no_avx():

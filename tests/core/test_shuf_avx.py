@@ -12,7 +12,7 @@ from repro.isa.arch import HASWELL, PILEDRIVER, SANDYBRIDGE
 from repro.blas.kernels import GEMM_SHUF_SIMPLE_C
 from repro.transforms.pipeline import OptimizationConfig, optimize_c_kernel
 
-from tests.conftest import needs_cc
+from tests.conftest import host_shuf_arch, needs_cc
 
 CFG_4X4 = OptimizationConfig(unroll_jam=(("j", 4), ("i", 4)))
 
@@ -64,9 +64,7 @@ def test_shuf4_emulated_correct(arch, rng):
 
 @needs_cc
 def test_shuf4_native_correct(rng):
-    from repro.isa.arch import detect_host
-
-    host = detect_host()
+    host = host_shuf_arch()
     if host.simd != "avx":
         pytest.skip("host lacks AVX")
     gk = Augem(arch=host).generate_named("gemm_shuf", config=CFG_4X4,
@@ -79,9 +77,7 @@ def test_shuf4_native_correct(rng):
 
 @needs_cc
 def test_shuf4_with_l_unroll(rng):
-    from repro.isa.arch import detect_host
-
-    host = detect_host()
+    host = host_shuf_arch()
     if host.simd != "avx":
         pytest.skip("host lacks AVX")
     cfg = OptimizationConfig(unroll_jam=(("j", 4), ("i", 4)),
@@ -98,7 +94,8 @@ def test_shuf_driver_end_to_end(rng):
     """Full blocked DGEMM through the 4-lane Shuf kernel."""
     from repro.blas.gemm import make_gemm
 
-    gemm = make_gemm(layout="shuf", config=CFG_4X4, strategy="shuf")
+    gemm = make_gemm(arch=host_shuf_arch(), layout="shuf", config=CFG_4X4,
+                     strategy="shuf")
     a = rng.standard_normal((52, 70))
     b = rng.standard_normal((70, 36))
     assert np.allclose(gemm(a, b), a @ b)

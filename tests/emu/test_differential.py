@@ -35,10 +35,11 @@ from repro.isa.arch import detect_host
 from repro.isa.gas import emit_function
 from repro.isa.instructions import Instr, instr
 from repro.isa.operands import Imm, Mem
-from repro.isa.registers import GP, xmm, ymm
+from repro.isa.registers import GP, vec, xmm, ymm
 from repro.tuning.space import candidates_for
 
-from tests.conftest import ALL_ARCH_SPECS, gemm_ref_packed, needs_cc
+from tests.conftest import (ALL_ARCH_SPECS, gemm_ref_packed, needs_avx512,
+                            needs_cc)
 
 _HOST = detect_host()
 _HAS_AVX = _HOST.simd == "avx"
@@ -180,6 +181,52 @@ def test_differential_harness_detects_differences():
     mul = _wrap([instr("mulsd", xmm(0), xmm(1))])
     assert not np.array_equal(_run_native(add, inputs),
                               _run_native(mul, inputs))
+
+
+# the zmm subset the skylake_x tier emits, plus the narrower writes whose
+# zeroing of bits 511:256 (or 511:128) the emulator must model; operand
+# widths in bytes, "I" for an immediate
+_ZMM_OPS = [
+    ("vaddpd", (64, 64, 64)), ("vmulpd", (64, 64, 64)),
+    ("vsubpd", (64, 64, 64)), ("vfmadd231pd", (64, 64, 64)),
+    ("vmovapd", (64, 64)), ("vextractf64x4", ("I", 64, 32)),
+    ("vaddpd", (32, 32, 32)), ("vxorpd", (16, 16, 16)),
+    ("vaddsd", (16, 16, 16)),
+]
+
+
+@st.composite
+def zmm_sequences(draw):
+    out = []
+    for _ in range(draw(st.integers(min_value=1, max_value=16))):
+        mnemonic, widths = draw(st.sampled_from(_ZMM_OPS))
+        out.append(Instr(mnemonic, tuple(
+            Imm(draw(st.integers(0, 1))) if w == "I"
+            else vec(draw(st.integers(0, N_REGS - 1)), w)
+            for w in widths)))
+    return out
+
+
+def _wrap_zmm(seq):
+    """Load zmm0..7 from (rdi), run seq, store zmm0..7 to (rsi)."""
+    load = [instr("vmovupd", Mem(base=RDI, disp=64 * i), vec(i, 64))
+            for i in range(N_REGS)]
+    store = [instr("vmovupd", vec(i, 64), Mem(base=RSI, disp=64 * i))
+             for i in range(N_REGS)]
+    return load + list(seq) + store + [instr("vzeroupper"), instr("ret")]
+
+
+@needs_avx512
+@given(seq=zmm_sequences(), seed=st.integers(0, 2**31))
+@settings(max_examples=30, deadline=None)
+def test_emulator_matches_silicon_bitwise_zmm(seq, seed):
+    inputs = np.random.default_rng(seed).standard_normal(N_REGS * 8)
+    items = _wrap_zmm(seq)
+    np.testing.assert_array_equal(
+        _run_native(items, inputs).view(np.uint64),
+        _run_emulated(items, inputs).view(np.uint64),
+        err_msg="\n".join(str(i) for i in seq),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from repro.emu.machine import EmuError, Machine
 from repro.emu.memory import Memory
 from repro.isa.instructions import Label, instr
 from repro.isa.operands import Imm, LabelRef, Mem
-from repro.isa.registers import GP, xmm, ymm
+from repro.isa.registers import GP, vec, xmm, ymm
 
 RAX, RBX, RCX = GP["rax"], GP["rbx"], GP["rcx"]
 
@@ -236,13 +236,13 @@ def test_vex_128_write_zeroes_upper_lanes():
     m = run([instr("vaddsd", xmm(0), xmm(1), xmm(2))],
             floats={0: [1.0], 1: [2.0], 2: [9.0, 9.0, 9.0, 9.0]})
     assert m.state.vec[2][0] == 3.0
-    assert list(m.state.vec[2][2:]) == [0.0, 0.0]
+    assert list(m.state.vec[2][2:]) == [0.0] * 6  # up to bit 511
 
 
 def test_legacy_sse_write_preserves_upper_lanes():
     m = run([instr("addsd", xmm(0), xmm(2))],
             floats={0: [1.0], 2: [2.0, 8.0, 8.0, 8.0]})
-    assert list(m.state.vec[2]) == [3.0, 8.0, 8.0, 8.0]
+    assert list(m.state.vec[2][:4]) == [3.0, 8.0, 8.0, 8.0]
 
 
 def test_vbroadcastsd():
@@ -251,7 +251,7 @@ def test_vbroadcastsd():
     m = Machine([instr("vbroadcastsd", Mem(base=RAX), ymm(3))], mem)
     m.state.gp["rax"] = addr
     m.run()
-    assert list(m.state.vec[3]) == [2.5] * 4
+    assert list(m.state.vec[3][:4]) == [2.5] * 4
 
 
 def test_vmulpd_vaddpd_256():
@@ -259,32 +259,32 @@ def test_vmulpd_vaddpd_256():
         instr("vmulpd", ymm(0), ymm(1), ymm(2)),
         instr("vaddpd", ymm(2), ymm(3), ymm(3)),
     ], floats={0: [1, 2, 3, 4], 1: [5, 6, 7, 8], 3: [1, 1, 1, 1]})
-    assert list(m.state.vec[3]) == [6.0, 13.0, 22.0, 33.0]
+    assert list(m.state.vec[3][:4]) == [6.0, 13.0, 22.0, 33.0]
 
 
 def test_vfmadd231pd():
     m = run([instr("vfmadd231pd", ymm(0), ymm(1), ymm(2))],
             floats={0: [2, 2, 2, 2], 1: [3, 3, 3, 3], 2: [1, 1, 1, 1]})
-    assert list(m.state.vec[2]) == [7.0] * 4
+    assert list(m.state.vec[2][:4]) == [7.0] * 4
 
 
 def test_fma4_vfmaddpd():
     # AT&T (src3, src2, src1, dst): dst = src1*src2 + src3
     m = run([instr("vfmaddpd", ymm(2), ymm(1), ymm(0), ymm(3))],
             floats={0: [2, 2, 2, 2], 1: [3, 3, 3, 3], 2: [1, 1, 1, 1]})
-    assert list(m.state.vec[3]) == [7.0] * 4
+    assert list(m.state.vec[3][:4]) == [7.0] * 4
 
 
 def test_vpermilpd_imm5():
     m = run([instr("vpermilpd", Imm(5), ymm(0), ymm(1))],
             floats={0: [1, 2, 3, 4]})
-    assert list(m.state.vec[1]) == [2.0, 1.0, 4.0, 3.0]
+    assert list(m.state.vec[1][:4]) == [2.0, 1.0, 4.0, 3.0]
 
 
 def test_vperm2f128_swap_lanes():
     m = run([instr("vperm2f128", Imm(1), ymm(0), ymm(0), ymm(1))],
             floats={0: [1, 2, 3, 4]})
-    assert list(m.state.vec[1]) == [3.0, 4.0, 1.0, 2.0]
+    assert list(m.state.vec[1][:4]) == [3.0, 4.0, 1.0, 2.0]
 
 
 def test_vextractf128():
@@ -296,14 +296,63 @@ def test_vextractf128():
 def test_vunpckhpd_256():
     m = run([instr("vunpckhpd", ymm(1), ymm(0), ymm(2))],
             floats={0: [1, 2, 3, 4], 1: [5, 6, 7, 8]})
-    assert list(m.state.vec[2]) == [2.0, 6.0, 4.0, 8.0]
+    assert list(m.state.vec[2][:4]) == [2.0, 6.0, 4.0, 8.0]
 
 
 def test_vshufpd_256():
     m = run([instr("vshufpd", Imm(0b0101), ymm(1), ymm(0), ymm(2))],
             floats={0: [1, 2, 3, 4], 1: [5, 6, 7, 8]})
     # per lane-pair: out[0]=a[imm0], out[1]=b[imm1] etc.
-    assert list(m.state.vec[2]) == [2.0, 5.0, 4.0, 7.0]
+    assert list(m.state.vec[2][:4]) == [2.0, 5.0, 4.0, 7.0]
+
+
+# -- AVX-512F (zmm) ---------------------------------------------------------------
+
+def zmm(i):
+    return vec(i, 64)
+
+
+def test_ymm_write_zeroes_zmm_upper_lanes():
+    m = run([instr("vaddpd", ymm(0), ymm(1), ymm(2))],
+            floats={0: [1] * 4, 1: [2] * 4, 2: [9] * 8})
+    assert list(m.state.vec[2]) == [3.0] * 4 + [0.0] * 4
+
+
+def test_vex_xmm_zero_idiom_clears_whole_zmm():
+    m = run([instr("vxorpd", xmm(3), xmm(3), xmm(3))], floats={3: [5] * 8})
+    assert list(m.state.vec[3]) == [0.0] * 8
+
+
+def test_zmm_broadcast_and_fma():
+    mem = Memory(1 << 12)
+    addr = mem.bind(np.array([2.0]))
+    m = Machine([instr("vbroadcastsd", Mem(base=RAX), zmm(1)),
+                 instr("vfmadd231pd", zmm(0), zmm(1), zmm(2))], mem)
+    m.state.gp["rax"] = addr
+    m.state.vec[0][:] = np.arange(8.0)
+    m.state.vec[2][:] = 1.0
+    m.run()
+    assert list(m.state.vec[2]) == [1.0 + 2.0 * k for k in range(8)]
+
+
+def test_zmm_load_store_moves_eight_lanes():
+    mem = Memory(1 << 12)
+    src = np.arange(1.0, 9.0)
+    dst = np.zeros(8)
+    a, b = mem.bind(src), mem.bind(dst)
+    m = Machine([instr("vmovupd", Mem(base=RAX), zmm(4)),
+                 instr("vmovupd", zmm(4), Mem(base=RBX))], mem)
+    m.state.gp.update(rax=a, rbx=b)
+    m.run()
+    mem.sync_back()
+    assert list(dst) == list(src)
+
+
+@pytest.mark.parametrize("imm,half", [(0, [1, 2, 3, 4]), (1, [5, 6, 7, 8])])
+def test_vextractf64x4(imm, half):
+    m = run([instr("vextractf64x4", Imm(imm), zmm(0), ymm(1))],
+            floats={0: list(range(1, 9)), 1: [9] * 8})
+    assert list(m.state.vec[1]) == [float(v) for v in half] + [0.0] * 4
 
 
 def test_prefetch_is_noop():

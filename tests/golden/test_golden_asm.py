@@ -1,8 +1,8 @@
 """Golden-assembly snapshot tests.
 
 Every template of the paper (mmCOMP, mmSTORE, mvCOMP plus their unrolled
-variants) is generated under each of the four ISA mappings (SSE, AVX,
-FMA3, FMA4) and diffed against a committed snapshot, so any change to
+variants) is generated under each of the five ISA mappings (SSE, AVX,
+FMA3, FMA4, AVX-512) and diffed against a committed snapshot, so any change to
 instruction selection, register allocation, or scheduling shows up as a
 reviewable assembly diff instead of a silent behavior change.
 
@@ -30,19 +30,28 @@ from tests.conftest import ALL_ARCH_SPECS
 
 GOLDEN_DIR = Path(__file__).parent
 
-#: scenario -> (kernel family, config, exported symbol, templates it covers)
+
+def _vector_unroll(arch, unroll: int = 4) -> int:
+    """``unroll`` widened to one full vector (only 512-bit needs it)."""
+    return max(unroll, arch.doubles_per_vector)
+
+
+#: scenario -> (kernel family, config, exported symbol, templates it covers);
+#: a callable config is resolved per arch
 SCENARIOS = {
     "gemm_baseline": (
         "gemm", OptimizationConfig(), "golden_gemm",
         {"mmCOMP", "mmSTORE"}),
     "gemm_unrolled": (
-        "gemm", OptimizationConfig(unroll_jam=(("j", 2), ("i", 4))),
+        "gemm", lambda arch: OptimizationConfig(
+            unroll_jam=(("j", 2), ("i", _vector_unroll(arch)))),
         "golden_gemm_u",
         {"mmUnrolledCOMP", "mmUnrolledSTORE"}),
     "gemv_baseline": (
         "gemv", OptimizationConfig(), "golden_gemv", {"mvCOMP"}),
     "axpy_unrolled": (
-        "axpy", OptimizationConfig(unroll=(("i", 4),)), "golden_axpy_u",
+        "axpy", lambda arch: OptimizationConfig(
+            unroll=(("i", _vector_unroll(arch)),)), "golden_axpy_u",
         {"mvUnrolledCOMP"}),
     # config None = default_config("ger"): the kernel AugemBLAS.dger serves
     "ger_unrolled": (
@@ -80,6 +89,8 @@ def _snapshot_path(scenario: str, arch_name: str) -> Path:
 @pytest.mark.parametrize("arch", ALL_ARCH_SPECS, ids=lambda a: a.name)
 def test_golden_asm(scenario, arch, request):
     kernel, config, symbol, expected_templates = SCENARIOS[scenario]
+    if callable(config):
+        config = config(arch)
     gk = Augem(arch=arch).generate_named(kernel, config=config, name=symbol)
 
     # the scenario must actually exercise the templates it claims to cover

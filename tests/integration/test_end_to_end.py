@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend.runner import load_kernel
+from repro.core.asmgen import CodegenError
 from repro.core.framework import Augem
+from repro.core.vectorize import SHUF_LANES
 from repro.emu.run import call_kernel
 from repro.isa.arch import PILEDRIVER
 
@@ -36,7 +38,7 @@ def _check_gemm(run, rng, layout="dup", multiples=(1, 1, 1)):
     np.testing.assert_allclose(c, ref, rtol=1e-12, atol=1e-10)
 
 
-# -- emulator path: all four arch specs incl. Piledriver FMA4 ----------------
+# -- emulator path: every arch spec incl. Piledriver FMA4 and AVX-512 -------
 
 def test_gemm_emulated(any_arch, rng):
     from repro.blas.gemm import kernel_multiples
@@ -49,6 +51,10 @@ def test_gemm_emulated(any_arch, rng):
 def test_gemm_shuf_emulated(any_arch, rng):
     from repro.blas.gemm import kernel_multiples
 
+    if any_arch.doubles_per_vector not in SHUF_LANES:
+        with pytest.raises(CodegenError, match="Shuf method"):
+            Augem(arch=any_arch).generate_named("gemm_shuf", strategy="shuf")
+        return
     gk = Augem(arch=any_arch).generate_named("gemm_shuf", strategy="shuf")
     _check_gemm(lambda *args: call_kernel(gk, list(args)), rng,
                 layout="shuf", multiples=kernel_multiples(gk))

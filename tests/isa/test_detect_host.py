@@ -9,6 +9,7 @@ from repro.isa.arch import (
     GENERIC_SSE,
     HASWELL,
     SANDYBRIDGE,
+    SKYLAKE_X,
     detect_host,
     forced_arch_name,
     reset_host_cache,
@@ -32,6 +33,23 @@ def _cpuinfo(tmp_path, text):
 def test_avx2_fma_flags_select_haswell(tmp_path):
     path = _cpuinfo(tmp_path, "processor : 0\nflags : fpu sse2 avx avx2 fma\n")
     assert detect_host(path) is HASWELL
+
+
+def test_avx512f_flags_select_skylake_x(tmp_path):
+    path = _cpuinfo(tmp_path,
+                    "flags : fpu sse2 avx avx2 fma avx512f avx512dq\n")
+    assert detect_host(path) is SKYLAKE_X
+
+
+def test_avx512_family_flags_without_avx512f_stay_haswell(tmp_path):
+    # only avx512f is required; its siblings alone do not select the tier
+    path = _cpuinfo(tmp_path, "flags : fpu sse2 avx avx2 fma avx512vl\n")
+    assert detect_host(path) is HASWELL
+
+
+def test_avx512f_without_fma_is_not_skylake_x(tmp_path):
+    path = _cpuinfo(tmp_path, "flags : sse2 avx avx2 avx512f\n")
+    assert detect_host(path) is SANDYBRIDGE
 
 
 def test_avx_without_fma_selects_sandybridge(tmp_path):

@@ -8,6 +8,7 @@ from repro.isa.arch import (
     HASWELL,
     PILEDRIVER,
     SANDYBRIDGE,
+    SKYLAKE_X,
     ArchSpec,
     detect_host,
     get_arch,
@@ -63,6 +64,14 @@ def test_paper_platforms_modelled():
 def test_doubles_per_vector():
     assert GENERIC_SSE.doubles_per_vector == 2
     assert HASWELL.doubles_per_vector == 4
+    assert SKYLAKE_X.doubles_per_vector == 8
+
+
+def test_skylake_x_keeps_the_vex_register_file():
+    # zmm16-31 are EVEX-only: the tier reuses Haswell's 16-register plan
+    assert SKYLAKE_X.simd == "avx" and SKYLAKE_X.fma == "fma3"
+    assert SKYLAKE_X.vector_bytes == 64 and SKYLAKE_X.n_vector_regs == 16
+    assert "avx512" in str(SKYLAKE_X)
 
 
 def test_arch_validation():
@@ -72,6 +81,8 @@ def test_arch_validation():
         ArchSpec(name="bad", simd="sse", vector_bytes=32)
     with pytest.raises(ValueError):
         ArchSpec(name="bad", simd="avx", fma="fma9")
+    with pytest.raises(ValueError):
+        ArchSpec(name="bad", simd="avx", vector_bytes=128)
 
 
 def test_get_arch():
@@ -79,7 +90,7 @@ def test_get_arch():
     with pytest.raises(KeyError):
         get_arch("m68k")
     assert set(ALL_ARCHS) == {"sandybridge", "piledriver", "haswell",
-                              "generic_sse"}
+                              "skylake_x", "generic_sse"}
 
 
 def test_detect_host_never_fma4():

@@ -35,8 +35,15 @@ def test_as_width_rejects_gp():
 def test_vec_constructor():
     assert vec(2, 16) == xmm(2)
     assert vec(2, 32) == ymm(2)
+    assert str(vec(2, 64)) == "%zmm2"
     with pytest.raises(ValueError):
-        vec(2, 64)
+        vec(2, 8)
+
+
+def test_zmm_shares_index_with_xmm_and_ymm():
+    z = xmm(9).as_width(64)
+    assert z.name == "zmm9" and z.width == 64 and z.index == 9
+    assert z.ymm == ymm(9) and z.xmm == xmm(9)
 
 
 def test_allocatable_excludes_scratch_and_rsp():

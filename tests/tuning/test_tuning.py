@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.isa.arch import GENERIC_SSE, HASWELL
+from repro.isa.arch import GENERIC_SSE, HASWELL, SKYLAKE_X
 from repro.transforms.pipeline import OptimizationConfig
 from repro.tuning.space import (
     Candidate,
@@ -42,6 +42,23 @@ def test_gemm_space_shuf_candidates_on_shuf_layout():
     # ...but never on the dup layout (B lanes are not contiguous there)
     assert not any(c.strategy == "shuf"
                    for c in gemm_candidates(HASWELL, layout="dup"))
+
+
+def test_gemm_space_on_skylake_x_fits_the_16_zmm_registers():
+    n = SKYLAKE_X.doubles_per_vector
+    cands = gemm_candidates(SKYLAKE_X)
+    assert cands
+    for c in cands:
+        tile = dict(c.config.unroll_jam)
+        nu, mu = tile["j"], tile["i"]
+        assert mu % n == 0
+        assert nu * (mu // n) + mu // n + 1 <= SKYLAKE_X.n_vector_regs
+    # the default 4x24 tile (12 accumulators) is one of them
+    assert any(dict(c.config.unroll_jam) == {"j": 4, "i": 3 * n}
+               for c in cands)
+    # the Shuf method stops at 4 lanes, so no shuf candidates at 8
+    assert not any(c.strategy == "shuf"
+                   for c in gemm_candidates(SKYLAKE_X, layout="shuf"))
 
 
 def test_vector_spaces_scale_with_lanes():
