@@ -42,7 +42,9 @@ def _fma(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
     numpy has no fma ufunc; exact semantics come from rational arithmetic
     (Fraction -> float conversion rounds correctly once).  Non-finite
-    inputs fall back to ordinary float arithmetic.
+    inputs fall back to ordinary float arithmetic.  An exact zero loses its
+    sign in a Fraction, so it follows the IEEE rule instead: ``+0`` unless
+    a zero product and a zero addend are both negative.
     """
     from fractions import Fraction
 
@@ -56,6 +58,11 @@ def _fma(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
             out[i] = ai * bi + ci
         else:
             exact = Fraction(ai) * Fraction(bi) + Fraction(ci)
+            if exact == 0:
+                # a zero product is exact in floats, so +/-0 + c signs it;
+                # a non-zero product cancelled by c rounds to +0
+                out[i] = ai * bi + ci if ai * bi == 0 else 0.0
+                continue
             try:
                 out[i] = float(exact)
             except OverflowError:  # rounds past DBL_MAX -> +/-inf

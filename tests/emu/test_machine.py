@@ -268,6 +268,17 @@ def test_vfmadd231pd():
     assert list(m.state.vec[2][:4]) == [7.0] * 4
 
 
+def test_vfmadd231pd_signed_zero_results():
+    # lanes: -0*+0 + -0 = -0; +0*+0 + -0 = +0; -0*+0 + +0 = +0;
+    # 2*3 + -6 cancels to +0
+    m = run([instr("vfmadd231pd", ymm(0), ymm(1), ymm(2))],
+            floats={0: [0.0, 0.0, 0.0, 3.0], 1: [-0.0, 0.0, -0.0, 2.0],
+                    2: [-0.0, -0.0, 0.0, -6.0]})
+    assert list(np.signbit(m.state.vec[2][:4])) == [True, False, False,
+                                                    False]
+    assert list(m.state.vec[2][:4]) == [0.0] * 4
+
+
 def test_fma4_vfmaddpd():
     # AT&T (src3, src2, src1, dst): dst = src1*src2 + src3
     m = run([instr("vfmaddpd", ymm(2), ymm(1), ymm(0), ymm(3))],
