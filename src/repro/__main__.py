@@ -43,6 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .blas.kernels import KERNEL_SOURCES
+from .blas.routines import ROUTINES
 from .core.framework import Augem, default_config
 from .isa.arch import ALL_ARCHS, detect_host, get_arch
 from .transforms.pipeline import OptimizationConfig
@@ -171,6 +172,13 @@ def cmd_validate(args) -> int:
         raise SystemExit(f"unknown kernel family {kernel!r}")
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
+
+
+#: ``tune`` targets: every routine row with a tuning space, plus the
+#: session manager (read off the table, so a CLI start never imports the
+#: tuner)
+TUNE_CHOICES = tuple(name for name, row in ROUTINES.items()
+                     if row.tuned) + ("sessions",)
 
 
 def cmd_tune(args) -> int:
@@ -496,8 +504,7 @@ def main(argv=None) -> int:
     t = sub.add_parser("tune",
                        help="empirical configuration search "
                             "(or 'tune sessions {list,show,resume,gc}')")
-    t.add_argument("kernel",
-                   choices=["gemm", "gemv", "ger", "axpy", "dot", "sessions"])
+    t.add_argument("kernel", choices=TUNE_CHOICES)
     t.add_argument("session_action", nargs="?", default=None,
                    choices=["list", "show", "resume", "gc"],
                    help="with 'tune sessions': manage durable tuning "

@@ -16,16 +16,7 @@ from .compiler import (
     find_cc,
     have_native_toolchain,
 )
-from .runner import (
-    AxpyKernel,
-    DotKernel,
-    GemmKernel,
-    GemvKernel,
-    GerKernel,
-    KERNEL_RUNNERS,
-    NativeKernel,
-    load_kernel,
-)
+from .runner import NativeKernel, load_kernel
 from .timer import Measurement, measure
 
 __all__ = [
@@ -36,12 +27,6 @@ __all__ = [
     "build_shared",
     "assemble_kernel",
     "NativeKernel",
-    "GemmKernel",
-    "GemvKernel",
-    "GerKernel",
-    "AxpyKernel",
-    "DotKernel",
-    "KERNEL_RUNNERS",
     "load_kernel",
     "BaselineLibrary",
     "baseline_o2",

@@ -38,14 +38,12 @@ from ..isa.arch import ArchSpec, detect_host
 from ..obs import incr
 from ..transforms.pipeline import OptimizationConfig
 from .dispatch import DispatchChain, RoutineDispatch
-from .gemm import BlockSizes, GemmDriver, make_gemm
-from .gemv import GemvDriver, make_gemv
-from .ger import GerDriver, make_ger
-from .guard import ArgGuard, BlasArgumentError
+from .gemm import BlockSizes
+from .guard import ArgGuard
 from .integrity import IntegrityChecker, wrap_driver
-from .level1 import AxpyDriver, DotDriver, ScalDriver, make_axpy, make_dot, make_scal
 from .level3 import Level3
 from .reference import ref_gemm, ref_gemv, ref_syr2k, ref_syrk
+from .routines import FAMILIES, ROUTINES, Routine
 
 
 class AugemBLAS:
@@ -80,25 +78,40 @@ class AugemBLAS:
         self.chain: Optional[DispatchChain] = (
             DispatchChain(top=arch, isolation=isolation) if hardened
             else None)
-        self._gemm: Optional[GemmDriver] = None
-        self._gemv: Optional[GemvDriver] = None
-        self._axpy: Optional[AxpyDriver] = None
-        self._dot: Optional[DotDriver] = None
-        self._scal: Optional[ScalDriver] = None
+        self._drivers: Dict[str, object] = {}
         self._level3: Optional[Level3] = None
-        self._ger: Optional[GerDriver] = None
         self._dispatch: Dict[str, RoutineDispatch] = {}
 
     # -- dispatch plumbing -------------------------------------------------
-    def _build(self, routine: str, family: str, builder, direct):
-        """Build one routine's driver — down the chain when hardened."""
-        if self.chain is None:
-            driver = direct()
-            self._dispatch[routine] = RoutineDispatch(family, self.arch.name)
-            return driver
-        driver, info = self.chain.build_routine(family, builder)
-        self._dispatch[routine] = info
+    def driver(self, name: str):
+        """The driver for routine ``name`` (a row of
+        :data:`~repro.blas.routines.ROUTINES`), built on first use."""
+        driver = self._drivers.get(name)
+        if driver is None:
+            driver = self._drivers[name] = self._build(ROUTINES[name])
         return driver
+
+    def _build(self, row: Routine):
+        """Build one routine's driver — down the chain when hardened."""
+        family = row.build_family(self.layout)
+        settings = {"layout": self.layout, "blocks": self.blocks,
+                    "threads": self.threads,
+                    "integrity": self.integrity_checker,
+                    "config_n": self.configs.get("gemv_n")}
+        kwargs = {name: settings[name] for name in row.options}
+
+        def build(arch, loader=None):
+            return row.make(arch=arch, config=self.configs.get(row.name),
+                            schedule=self.schedule, loader=loader, **kwargs)
+
+        if self.chain is None:
+            driver = build(self.arch)
+            self._dispatch[row.name] = RoutineDispatch(family,
+                                                       self.arch.name)
+        else:
+            driver, self._dispatch[row.name] = self.chain.build_routine(
+                family, lambda tier, loader: build(tier.arch, loader))
+        return wrap_driver(family, driver, self.integrity_checker)
 
     def _on_quarantine(self, family: str, verdict) -> None:
         """Drop cached drivers after an integrity quarantine.
@@ -109,13 +122,13 @@ class AugemBLAS:
         reference-recomputed bits).
         """
         incr("integrity.facade_rebuild")
-        if family in ("gemm", "gemm_shuf"):
-            self._gemm = None
+        row = FAMILIES.get(family)
+        if row is None:
+            return
+        self._drivers.pop(row.name, None)
+        self._dispatch.pop(row.name, None)
+        if row.name == "gemm":
             self._level3 = None
-            self._dispatch.pop("gemm", None)
-        elif family in ("gemv", "ger", "axpy", "dot", "scal"):
-            setattr(self, f"_{family}", None)
-            self._dispatch.pop(family, None)
 
     def _note_serve(self, routine: str) -> None:
         info = self._dispatch.get(routine)
@@ -126,108 +139,11 @@ class AugemBLAS:
         """How each routine built so far is being served."""
         return dict(self._dispatch)
 
-    # -- lazy kernel construction ------------------------------------------
-    @property
-    def gemm_driver(self) -> GemmDriver:
-        if self._gemm is None:
-            family = "gemm" if self.layout == "dup" else "gemm_shuf"
-            self._gemm = self._build(
-                "gemm", family,
-                builder=lambda tier, loader: make_gemm(
-                    arch=tier.arch, config=self.configs.get("gemm"),
-                    layout=self.layout, blocks=self.blocks,
-                    schedule=self.schedule, loader=loader,
-                    threads=self.threads,
-                    integrity=self.integrity_checker),
-                direct=lambda: make_gemm(
-                    arch=self.arch, config=self.configs.get("gemm"),
-                    layout=self.layout, blocks=self.blocks,
-                    schedule=self.schedule, threads=self.threads,
-                    integrity=self.integrity_checker))
-        return self._gemm
-
-    @property
-    def gemv_driver(self) -> GemvDriver:
-        if self._gemv is None:
-            self._gemv = self._build(
-                "gemv", "gemv",
-                builder=lambda tier, loader: make_gemv(
-                    arch=tier.arch, config=self.configs.get("gemv"),
-                    config_n=self.configs.get("gemv_n"),
-                    schedule=self.schedule, loader=loader),
-                direct=lambda: make_gemv(
-                    arch=self.arch, config=self.configs.get("gemv"),
-                    config_n=self.configs.get("gemv_n"),
-                    schedule=self.schedule))
-            self._gemv = wrap_driver("gemv", self._gemv,
-                                     self.integrity_checker)
-        return self._gemv
-
-    @property
-    def axpy_driver(self) -> AxpyDriver:
-        if self._axpy is None:
-            self._axpy = self._build(
-                "axpy", "axpy",
-                builder=lambda tier, loader: make_axpy(
-                    arch=tier.arch, config=self.configs.get("axpy"),
-                    schedule=self.schedule, loader=loader),
-                direct=lambda: make_axpy(
-                    arch=self.arch, config=self.configs.get("axpy"),
-                    schedule=self.schedule))
-            self._axpy = wrap_driver("axpy", self._axpy,
-                                     self.integrity_checker)
-        return self._axpy
-
-    @property
-    def dot_driver(self) -> DotDriver:
-        if self._dot is None:
-            self._dot = self._build(
-                "dot", "dot",
-                builder=lambda tier, loader: make_dot(
-                    arch=tier.arch, config=self.configs.get("dot"),
-                    schedule=self.schedule, loader=loader),
-                direct=lambda: make_dot(
-                    arch=self.arch, config=self.configs.get("dot"),
-                    schedule=self.schedule))
-            self._dot = wrap_driver("dot", self._dot,
-                                    self.integrity_checker)
-        return self._dot
-
-    @property
-    def scal_driver(self) -> ScalDriver:
-        if self._scal is None:
-            self._scal = self._build(
-                "scal", "scal",
-                builder=lambda tier, loader: make_scal(
-                    arch=tier.arch, config=self.configs.get("scal"),
-                    schedule=self.schedule, loader=loader),
-                direct=lambda: make_scal(
-                    arch=self.arch, config=self.configs.get("scal"),
-                    schedule=self.schedule))
-            self._scal = wrap_driver("scal", self._scal,
-                                     self.integrity_checker)
-        return self._scal
-
     @property
     def level3(self) -> Level3:
         if self._level3 is None:
-            self._level3 = Level3(self.gemm_driver)
+            self._level3 = Level3(self.driver("gemm"))
         return self._level3
-
-    @property
-    def ger_driver(self) -> GerDriver:
-        if self._ger is None:
-            self._ger = self._build(
-                "ger", "ger",
-                builder=lambda tier, loader: make_ger(
-                    arch=tier.arch, config=self.configs.get("ger"),
-                    schedule=self.schedule, loader=loader),
-                direct=lambda: make_ger(
-                    arch=self.arch, config=self.configs.get("ger"),
-                    schedule=self.schedule))
-            self._ger = wrap_driver("ger", self._ger,
-                                    self.integrity_checker)
-        return self._ger
 
     # -- BLAS entry points -----------------------------------------------
     def dgemm(self, a, b, c=None, alpha: float = 1.0,
@@ -247,7 +163,7 @@ class AugemBLAS:
         if m == 0 or n == 0 or a.shape[1] == 0:
             g.note_zero_dim()
             return np.zeros((m, n)) + ref_gemm(a, b, c, alpha, beta)
-        driver = self.gemm_driver
+        driver = self.driver("gemm")
         self._note_serve("gemm")
         return driver(a, b, c, alpha=alpha, beta=beta)
 
@@ -265,9 +181,9 @@ class AugemBLAS:
         if in_len == 0 or out_len == 0:
             g.note_zero_dim()
             return np.zeros(out_len) + ref_gemv(a, x, y, alpha, beta, trans)
-        driver = self.gemv_driver
+        driver = self.driver("gemv")
         self._note_serve("gemv")
-        return driver(a, x, y, alpha=alpha, beta=beta, trans=trans)
+        return driver(a, x, y, alpha, beta, trans)
 
     def daxpy(self, alpha: float, x, y) -> np.ndarray:
         g = self.guard
@@ -278,7 +194,7 @@ class AugemBLAS:
         if y.shape[0] == 0:
             g.note_zero_dim()
             return y
-        driver = self.axpy_driver
+        driver = self.driver("axpy")
         self._note_serve("axpy")
         return driver(alpha, x, y)
 
@@ -289,7 +205,7 @@ class AugemBLAS:
         if x.shape[0] == 0:
             g.note_zero_dim()
             return 0.0
-        driver = self.dot_driver
+        driver = self.driver("dot")
         self._note_serve("dot")
         return driver(x, y)
 
@@ -300,7 +216,7 @@ class AugemBLAS:
         if x.shape[0] == 0:
             g.note_zero_dim()
             return x
-        driver = self.scal_driver
+        driver = self.driver("scal")
         self._note_serve("scal")
         return driver(alpha, x)
 
@@ -405,10 +321,16 @@ class AugemBLAS:
         if m == 0 or n == 0:
             g.note_zero_dim()
             return a
-        driver = self.ger_driver
+        driver = self.driver("ger")
         self._note_serve("ger")
         return driver(alpha, x, y, a)
 
+
+# ``blas.gemm_driver`` ... ``blas.scal_driver``: one property per row
+for _name in ROUTINES:
+    setattr(AugemBLAS, f"{_name}_driver",
+            property(lambda self, _name=_name: self.driver(_name)))
+del _name
 
 _default: Optional[AugemBLAS] = None
 

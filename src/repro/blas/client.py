@@ -1,10 +1,10 @@
 """ServedBLAS — a drop-in BLAS facade backed by the serve daemon.
 
 ``ServedBLAS`` subclasses :class:`~repro.blas.api.AugemBLAS` and swaps
-only the six driver properties for remote proxies, so every entry point
-— including the composed Level-3 routines (``dsymm``/``dsyrk``/... ride
-on the gemm driver) — transparently runs on the daemon while keeping the
-full in-process argument-guard layer.
+only its ``driver(name)`` for one remote proxy per routine row, so every
+entry point — including the composed Level-3 routines (``dsymm``/
+``dsyrk``/... ride on the gemm driver) — transparently runs on the
+daemon while keeping the full in-process argument-guard layer.
 
 Every remote call walks a degradation chain; the caller never sees a
 service failure, only (at worst) in-process latency:
@@ -50,11 +50,11 @@ import numpy as np
 
 from ..obs import event, incr
 from ..serve.protocol import (ERR_DEADLINE, ERR_DRAINING, PROTOCOL_VERSION,
-                              RETRYABLE_CODES, ROUTINES, PeerGone,
-                              ProtocolError, call_header, recv_frame,
-                              send_frame)
+                              RETRYABLE_CODES, PeerGone, ProtocolError,
+                              call_header, recv_frame, send_frame)
 from ..serve.shm import SegmentSet
 from .api import AugemBLAS
+from .routines import ROUTINES, Routine
 
 
 class ServiceUnavailable(RuntimeError):
@@ -137,78 +137,19 @@ class CircuitBreaker:
 
 
 class _RemoteDriver:
-    """Proxy with the exact call signature of one local driver family."""
+    """Proxy with the call signature of one routine's local driver: the
+    routine row binds the call, so any row is served the same way."""
 
-    def __init__(self, owner: "ServedBLAS", routine: str) -> None:
+    def __init__(self, owner: "ServedBLAS", row: Routine) -> None:
         self._owner = owner
-        self._routine = routine
-
-    # each signature mirrors the in-process driver it may fall back to
+        self._row = row
 
     def __call__(self, *args: Any, **kwargs: Any):
-        return getattr(self, f"_{self._routine}")(*args, **kwargs)
-
-    def _gemm(self, a, b, c=None, alpha: float = 1.0, beta: float = 0.0):
-        owner = self._owner
+        owner, row = self._owner, self._row
         try:
-            return owner._remote_call(
-                "gemm",
-                arrays={"a": a, "b": b, **({"c": c} if c is not None
-                                           else {})},
-                scalars={"alpha": alpha, "beta": beta}, flags={},
-                inplace={})
+            return owner._remote_call(row, row.bind(args, kwargs))
         except ServiceUnavailable as exc:
-            return owner._fallback("gemm", exc)(a, b, c, alpha=alpha,
-                                                beta=beta)
-
-    def _gemv(self, a, x, y=None, alpha: float = 1.0, beta: float = 0.0,
-              trans: bool = False):
-        owner = self._owner
-        try:
-            return owner._remote_call(
-                "gemv",
-                arrays={"a": a, "x": x, **({"y": y} if y is not None
-                                           else {})},
-                scalars={"alpha": alpha, "beta": beta},
-                flags={"trans": bool(trans)}, inplace={})
-        except ServiceUnavailable as exc:
-            return owner._fallback("gemv", exc)(a, x, y, alpha=alpha,
-                                                beta=beta, trans=trans)
-
-    def _ger(self, alpha: float, x, y, a):
-        owner = self._owner
-        try:
-            return owner._remote_call(
-                "ger", arrays={"x": x, "y": y, "a": a},
-                scalars={"alpha": alpha}, flags={}, inplace={"a": a})
-        except ServiceUnavailable as exc:
-            return owner._fallback("ger", exc)(alpha, x, y, a)
-
-    def _axpy(self, alpha: float, x, y):
-        owner = self._owner
-        try:
-            return owner._remote_call(
-                "axpy", arrays={"x": x, "y": y},
-                scalars={"alpha": alpha}, flags={}, inplace={"y": y})
-        except ServiceUnavailable as exc:
-            return owner._fallback("axpy", exc)(alpha, x, y)
-
-    def _dot(self, x, y) -> float:
-        owner = self._owner
-        try:
-            return owner._remote_call("dot", arrays={"x": x, "y": y},
-                                      scalars={}, flags={}, inplace={})
-        except ServiceUnavailable as exc:
-            return owner._fallback("dot", exc)(x, y)
-
-    def _scal(self, alpha: float, x):
-        owner = self._owner
-        try:
-            return owner._remote_call("scal", arrays={"x": x},
-                                      scalars={"alpha": alpha}, flags={},
-                                      inplace={"x": x})
-        except ServiceUnavailable as exc:
-            return owner._fallback("scal", exc)(alpha, x)
+            return owner._fallback(row.name, exc)(*args, **kwargs)
 
 
 class ServedBLAS(AugemBLAS):
@@ -249,42 +190,17 @@ class ServedBLAS(AugemBLAS):
         self.stats = ClientStats()
         self._remote: Dict[str, _RemoteDriver] = {}
 
-    # -- the six driver properties become remote proxies -------------------
+    # -- every routine's driver becomes a remote proxy ---------------------
 
-    def _remote_driver(self, routine: str) -> _RemoteDriver:
-        driver = self._remote.get(routine)
-        if driver is None:
-            driver = self._remote[routine] = _RemoteDriver(self, routine)
-        return driver
-
-    @property
-    def gemm_driver(self) -> _RemoteDriver:  # type: ignore[override]
-        return self._remote_driver("gemm")
-
-    @property
-    def gemv_driver(self) -> _RemoteDriver:  # type: ignore[override]
-        return self._remote_driver("gemv")
-
-    @property
-    def ger_driver(self) -> _RemoteDriver:  # type: ignore[override]
-        return self._remote_driver("ger")
-
-    @property
-    def axpy_driver(self) -> _RemoteDriver:  # type: ignore[override]
-        return self._remote_driver("axpy")
-
-    @property
-    def dot_driver(self) -> _RemoteDriver:  # type: ignore[override]
-        return self._remote_driver("dot")
-
-    @property
-    def scal_driver(self) -> _RemoteDriver:  # type: ignore[override]
-        return self._remote_driver("scal")
+    def driver(self, name: str) -> _RemoteDriver:
+        proxy = self._remote.get(name)
+        if proxy is None:
+            proxy = self._remote[name] = _RemoteDriver(self, ROUTINES[name])
+        return proxy
 
     def local_driver(self, routine: str):
         """The in-process hardened driver (lazily built on first need)."""
-        prop = getattr(AugemBLAS, f"{routine}_driver")
-        return prop.fget(self)
+        return AugemBLAS.driver(self, routine)
 
     # -- degradation chain --------------------------------------------------
 
@@ -294,11 +210,10 @@ class ServedBLAS(AugemBLAS):
         event("client.fallback", routine=routine, reason=str(reason)[:200])
         return self.local_driver(routine)
 
-    def _remote_call(self, routine: str, arrays: Dict[str, Any],
-                     scalars: Dict[str, float], flags: Dict[str, bool],
-                     inplace: Dict[str, np.ndarray]):
+    def _remote_call(self, row: Routine, call: Dict[str, Any]):
         """One full remote attempt: shm staging + retry/breaker loop.
 
+        ``call`` holds every parameter of the driver call, by name.
         Returns the routine result; raises :class:`ServiceUnavailable`
         when the service chain is exhausted and the caller must fall
         back.  In-place targets are written only after a remote success.
@@ -310,9 +225,11 @@ class ServedBLAS(AugemBLAS):
             incr("client.breaker_short_circuit")
             raise ServiceUnavailable("circuit breaker open")
 
-        spec = ROUTINES[routine]
-        staged = {name: np.ascontiguousarray(arr, dtype=np.float64)
-                  for name, arr in arrays.items()}
+        staged = {name: np.ascontiguousarray(call[name], dtype=np.float64)
+                  for name in row.arrays + row.optional
+                  if call[name] is not None}
+        scalars = {name: call[name] for name in row.scalars}
+        flags = {name: bool(call[name]) for name in row.flags}
         with SegmentSet(prefix="rblc") as segments:
             refs, views = {}, {}
             for name, arr in staged.items():
@@ -320,26 +237,26 @@ class ServedBLAS(AugemBLAS):
                 refs[name] = ref
                 views[name] = view
             out_ref = out_view = None
-            if spec.output == "new":
+            if row.output == "new":
                 shapes = {name: arr.shape for name, arr in staged.items()}
                 out_view, out_ref = segments.add(
-                    spec.result_shape(shapes, flags))
+                    row.result_shape(shapes, flags))
             # client-side sampling: the checker's deterministic 1-in-K
             # counter decides which requests ride with ABFT verification;
             # sampled requests ask the server for a *full* check so the
             # verdict covers every tile of that call
             verify = self.integrity_checker.decide()
-            header = call_header(routine, self.client_id, self.deadline_ms,
+            header = call_header(row.name, self.client_id, self.deadline_ms,
                                  refs, scalars, flags, out_ref,
                                  integrity="full" if verify else None)
             reply = self._exchange(header)
-            self._note_verdict(routine, reply.get("integrity"))
-            if spec.output == "scalar":
+            self._note_verdict(row.name, reply.get("integrity"))
+            if row.output == "scalar":
                 return float(reply.get("value", 0.0))
-            if spec.output == "new":
+            if row.output == "new":
                 return np.array(out_view, copy=True)
-            target = inplace[spec.output]
-            target[...] = views[spec.output]
+            target = call[row.output]
+            target[...] = views[row.output]
             return target
 
     def _note_verdict(self, routine: str,

@@ -56,6 +56,7 @@ from ..isa.arch import ALL_ARCHS, ArchSpec, detect_host, forced_arch_name
 from ..obs import event, incr, span
 from . import reference as ref
 from .level1 import unroll_of
+from .routines import ROUTINES
 
 #: max acceptable elementwise error, in units of the reference result's
 #: ULP, for an admission probe (generous: blocked summation reorders)
@@ -364,16 +365,9 @@ def _routine_probe(family: str, driver) -> Callable[[], float]:
     return probe
 
 
-#: reference drivers installed for the terminal tier, per family
-_REFERENCE_FACTORIES = {
-    "gemm": ref.ReferenceGemmDriver,
-    "gemm_shuf": ref.ReferenceGemmDriver,
-    "gemv": ref.ReferenceGemvDriver,
-    "ger": ref.ReferenceGerDriver,
-    "axpy": ref.ReferenceAxpyDriver,
-    "dot": ref.ReferenceDotDriver,
-    "scal": ref.ReferenceScalDriver,
-}
+#: reference drivers installed for the terminal tier, per build family
+_REFERENCE_FACTORIES = {family: row.reference for row in ROUTINES.values()
+                        for family in row.families}
 
 #: every kernel family the chain can build, admit and demote
 ROUTINE_FAMILIES = tuple(_REFERENCE_FACTORIES)

@@ -50,7 +50,7 @@ import numpy as np
 
 from ..backend.faults import (InjectedWorkerFault, corrupt_tile,
                               get_fault_plan)
-from ..backend.runner import GemmKernel
+from ..backend.runner import NativeKernel
 from ..core.framework import GeneratedKernel
 from ..obs import event, incr, span
 from ..obs import trace as _trace
@@ -137,7 +137,7 @@ class GemmDriver:
     #: the serve worker keys per-request ABFT on this marker
     supports_integrity = True
 
-    def __init__(self, kernel: GemmKernel, layout: str = "dup",
+    def __init__(self, kernel: NativeKernel, layout: str = "dup",
                  blocks: Optional[BlockSizes] = None,
                  threads: Optional[int] = None,
                  pack_pool: Optional[PackBufferPool] = None,

@@ -21,15 +21,15 @@ from typing import Optional
 
 import numpy as np
 
-from ..backend.runner import GemvKernel
+from ..backend.runner import NativeKernel
 from .level1 import unroll_of
 
 
 class GemvDriver:
     """``y = beta*y + alpha * op(A) @ x``."""
 
-    def __init__(self, kernel_t: GemvKernel,
-                 kernel_n: Optional[GemvKernel] = None) -> None:
+    def __init__(self, kernel_t: NativeKernel,
+                 kernel_n: Optional[NativeKernel] = None) -> None:
         self.kernel_t = kernel_t
         self.kernel_n = kernel_n
         self.unroll_t = unroll_of(kernel_t.generated, "j")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..backend.runner import GerKernel
+from ..backend.runner import NativeKernel
 from ..obs import incr
 from .level1 import unroll_of
 
@@ -29,7 +29,7 @@ from .level1 import unroll_of
 class GerDriver:
     """``A = A + alpha * outer(x, y)`` (mutates A)."""
 
-    def __init__(self, kernel: GerKernel) -> None:
+    def __init__(self, kernel: NativeKernel) -> None:
         self.kernel = kernel
         self.unroll = unroll_of(kernel.generated, "j")
         # Never called: benchmarks/ledger/layers.py::probe_ger reads and

@@ -25,8 +25,8 @@ The verification *mode* is ``off`` (default), ``sample`` (deterministic
 1-in-K call sampling, K from ``sample:K``), or ``full``; resolved from
 an explicit argument or ``$REPRO_INTEGRITY`` (see
 :func:`resolve_integrity`).  Level-2/1 routines get cheaper sum-identity
-checks through the ``Integrity*Driver`` wrappers installed by
-:class:`~repro.blas.api.AugemBLAS`.
+checks through the one :class:`IntegrityDriver`, which reads each
+routine's identity off :data:`~repro.blas.routines.ROUTINES`.
 
 Everything observable lands in ``integrity.*`` counters/events (checks,
 mismatches, retries, reference_recomputes, quarantines, overhead_ns)
@@ -46,7 +46,6 @@ import numpy as np
 from ..backend.cache import get_cache
 from ..core.framework import quarantine_key
 from ..obs import event, incr
-from . import reference as ref
 
 #: environment variable naming the default integrity mode
 INTEGRITY_ENV = "REPRO_INTEGRITY"
@@ -197,7 +196,7 @@ def verify_gemm_tile(tile: np.ndarray, a_sub: np.ndarray,
 
 def _sum_close(got: float, expected: float, magnitude: float,
                n_terms: int) -> bool:
-    """Scalar sum-identity check used by the level-2/1 wrappers."""
+    """Scalar sum-identity check used by :class:`IntegrityDriver`."""
     if not (np.isfinite(expected) and np.isfinite(magnitude)):
         return True
     eps = float(np.finfo(np.float64).eps)
@@ -368,21 +367,70 @@ class IntegrityChecker:
 
 
 # ---------------------------------------------------------------------------
-# level-2/1 wrappers (sum-identity checks around the native drivers)
+# level-2/1 wrapper (sum-identity checks around the native drivers)
 # ---------------------------------------------------------------------------
 
-class _IntegrityWrapper:
-    """Shared plumbing: delegate everything to the wrapped driver."""
+class IntegrityDriver:
+    """Sum-identity ABFT around one Level-1/2 driver, read off its row of
+    :data:`~repro.blas.routines.ROUTINES`.
+
+    One sampling decision per call.  A sampled call checks the element
+    sum of its result against the row's identity, retries once (after
+    restoring the row's in-place operand), and otherwise strikes the
+    kernel that ran — under that kernel's own family, so the strike's
+    quarantine key is the one the dispatch loader consults — and
+    recomputes through the row's reference driver.  Everything else
+    delegates to the wrapped driver.
+    """
 
     supports_integrity = True
-    family = ""
 
-    def __init__(self, inner, checker: IntegrityChecker) -> None:
+    def __init__(self, row, inner, checker: IntegrityChecker) -> None:
+        self.row = row
         self._inner = inner
         self.integrity = checker
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
+
+    def __call__(self, *args, integrity: Optional[str] = None,
+                 integrity_report: Optional[IntegrityReport] = None,
+                 **kwargs):
+        if not self.integrity.decide(integrity):
+            return self._inner(*args, **kwargs)
+        return self._checked(integrity_report, args, kwargs)
+
+    def _checked(self, report: Optional[IntegrityReport], args, kwargs):
+        t0 = time.perf_counter_ns()
+        row, inner = self.row, self._inner
+        call = row.bind(args, kwargs)
+        expected, magnitude, n_terms = row.identity(**call)
+        target = call[row.inplace] if row.inplace else None
+        saved = None if target is None else np.array(target,
+                                                     dtype=np.float64)
+
+        def consistent(out) -> bool:
+            return _sum_close(float(np.asarray(out).sum()), expected,
+                              magnitude, n_terms)
+
+        out = inner(*args, **kwargs)
+        if consistent(out):
+            self._verified(report, t0, False, False)
+            return out
+        if target is not None:
+            target[...] = saved
+        out = inner(*args, **kwargs)
+        if consistent(out):
+            self._verified(report, t0, True, False)
+            return out
+        family, kernel = row.kernel_ran(inner, call)
+        self._corrupt(f"{row.name} sum identity violated twice", report,
+                      family, kernel)
+        if target is not None:
+            target[...] = saved
+        out = row.reference()(*args, **kwargs)
+        self._verified(report, t0, True, True)
+        return out
 
     def _verified(self, report: Optional[IntegrityReport], t0: int,
                   mismatched: bool, corrected: bool) -> None:
@@ -408,209 +456,19 @@ class _IntegrityWrapper:
                 report.note("reference_recomputes")
 
     def _corrupt(self, detail: str, report: Optional[IntegrityReport],
-                 kernel=None) -> None:
-        event("integrity.mismatch", family=self.family, detail=detail[:200])
-        kernel = kernel or getattr(self._inner, "kernel", None)
+                 family: str, kernel) -> None:
+        event("integrity.mismatch", family=self.row.name,
+              detail=detail[:200])
         if kernel is None:
             return
-        verdict = self.integrity.record_corruption(self.family, kernel,
+        verdict = self.integrity.record_corruption(family, kernel,
                                                    detail=detail)
         if report is not None and verdict.get("quarantined"):
             report.quarantine(str(verdict.get("body_hash")))
 
 
-class IntegrityGemvDriver(_IntegrityWrapper):
-    """Sum-identity ABFT around :class:`~repro.blas.gemv.GemvDriver`."""
-
-    family = "gemv"
-
-    def __call__(self, a, x, y=None, alpha: float = 1.0, beta: float = 0.0,
-                 trans: bool = False, integrity: Optional[str] = None,
-                 integrity_report: Optional[IntegrityReport] = None):
-        check = self.integrity.decide(integrity)
-        if not check:
-            return self._inner(a, x, y, alpha=alpha, beta=beta, trans=trans)
-        t0 = time.perf_counter_ns()
-        a64 = np.asarray(a, dtype=np.float64)
-        x64 = np.asarray(x, dtype=np.float64)
-        op = a64.T if trans else a64
-        expected = alpha * float(op.sum(axis=0) @ x64)
-        magnitude = abs(alpha) * float(np.abs(op).sum(axis=0) @ np.abs(x64))
-        if y is not None and beta != 0.0:
-            y64 = np.asarray(y, dtype=np.float64)
-            expected += beta * float(y64.sum())
-            magnitude += abs(beta) * float(np.abs(y64).sum())
-        n_terms = op.shape[0] + op.shape[1]
-
-        out = self._inner(a, x, y, alpha=alpha, beta=beta, trans=trans)
-        if _sum_close(float(np.asarray(out).sum()), expected, magnitude,
-                      n_terms):
-            self._verified(integrity_report, t0, False, False)
-            return out
-        out = self._inner(a, x, y, alpha=alpha, beta=beta, trans=trans)
-        if _sum_close(float(np.asarray(out).sum()), expected, magnitude,
-                      n_terms):
-            self._verified(integrity_report, t0, True, False)
-            return out
-        # strike the kernel that ran: GemvDriver's branch, not a default
-        kernel_n = getattr(self._inner, "kernel_n", None)
-        ran_n = not trans and kernel_n is not None and a64.flags.c_contiguous
-        self._corrupt("gemv sum identity violated twice", integrity_report,
-                      kernel_n if ran_n
-                      else getattr(self._inner, "kernel_t", None))
-        out = ref.ref_gemv(a, x, y, alpha, beta, trans)
-        self._verified(integrity_report, t0, True, True)
-        return out
-
-
-class IntegrityGerDriver(_IntegrityWrapper):
-    """Sum-identity ABFT around :class:`~repro.blas.ger.GerDriver`: one
-    sampling decision and one identity per call,
-    ``sum(A') = sum(A) + alpha * sum(x) * sum(y)``."""
-
-    family = "ger"
-
-    def __call__(self, alpha: float, x, y, a,
-                 integrity: Optional[str] = None,
-                 integrity_report: Optional[IntegrityReport] = None):
-        check = self.integrity.decide(integrity)
-        if not check:
-            return self._inner(alpha, x, y, a)
-        t0 = time.perf_counter_ns()
-        a0 = np.array(a, dtype=np.float64)
-        x64 = np.asarray(x, dtype=np.float64)
-        y64 = np.asarray(y, dtype=np.float64)
-        expected = float(a0.sum()) \
-            + alpha * float(x64.sum()) * float(y64.sum())
-        magnitude = float(np.abs(a0).sum()) \
-            + abs(alpha) * float(np.abs(x64).sum()) \
-            * float(np.abs(y64).sum())
-        n_terms = a0.size + x64.size + y64.size
-
-        out = self._inner(alpha, x, y, a)
-        if _sum_close(float(out.sum()), expected, magnitude, n_terms):
-            self._verified(integrity_report, t0, False, False)
-            return out
-        a[...] = a0
-        out = self._inner(alpha, x, y, a)
-        if _sum_close(float(out.sum()), expected, magnitude, n_terms):
-            self._verified(integrity_report, t0, True, False)
-            return out
-        self._corrupt("ger sum identity violated twice", integrity_report)
-        a[...] = ref.ref_ger(alpha, x64, y64, a0)
-        self._verified(integrity_report, t0, True, True)
-        return a
-
-
-class IntegrityAxpyDriver(_IntegrityWrapper):
-    """Sum-identity ABFT around :class:`~repro.blas.level1.AxpyDriver`."""
-
-    family = "axpy"
-
-    def __call__(self, alpha: float, x, y,
-                 integrity: Optional[str] = None,
-                 integrity_report: Optional[IntegrityReport] = None):
-        check = self.integrity.decide(integrity)
-        if not check:
-            return self._inner(alpha, x, y)
-        t0 = time.perf_counter_ns()
-        y0 = np.array(y, dtype=np.float64)
-        x64 = np.asarray(x, dtype=np.float64)
-        expected = float(y0.sum()) + alpha * float(x64.sum())
-        magnitude = float(np.abs(y0).sum()) \
-            + abs(alpha) * float(np.abs(x64).sum())
-
-        out = self._inner(alpha, x, y)
-        if _sum_close(float(np.asarray(out).sum()), expected, magnitude,
-                      2 * x64.size):
-            self._verified(integrity_report, t0, False, False)
-            return out
-        y[:] = y0
-        out = self._inner(alpha, x, y)
-        if _sum_close(float(np.asarray(out).sum()), expected, magnitude,
-                      2 * x64.size):
-            self._verified(integrity_report, t0, True, False)
-            return out
-        self._corrupt("axpy sum identity violated twice", integrity_report)
-        y[:] = ref.ref_axpy(alpha, x64, y0)
-        self._verified(integrity_report, t0, True, True)
-        return y
-
-
-class IntegrityDotDriver(_IntegrityWrapper):
-    """Reference-compare ABFT around :class:`~repro.blas.level1.DotDriver`."""
-
-    family = "dot"
-
-    def __call__(self, x, y, integrity: Optional[str] = None,
-                 integrity_report: Optional[IntegrityReport] = None):
-        check = self.integrity.decide(integrity)
-        if not check:
-            return self._inner(x, y)
-        t0 = time.perf_counter_ns()
-        x64 = np.asarray(x, dtype=np.float64)
-        y64 = np.asarray(y, dtype=np.float64)
-        expected = float(x64 @ y64)
-        magnitude = float(np.abs(x64) @ np.abs(y64))
-
-        got = self._inner(x, y)
-        if _sum_close(float(got), expected, magnitude, x64.size):
-            self._verified(integrity_report, t0, False, False)
-            return got
-        got = self._inner(x, y)
-        if _sum_close(float(got), expected, magnitude, x64.size):
-            self._verified(integrity_report, t0, True, False)
-            return got
-        self._corrupt("dot product disagrees with reference twice",
-                      integrity_report)
-        self._verified(integrity_report, t0, True, True)
-        return expected
-
-
-class IntegrityScalDriver(_IntegrityWrapper):
-    """Sum-identity ABFT around :class:`~repro.blas.level1.ScalDriver`."""
-
-    family = "scal"
-
-    def __call__(self, alpha: float, x,
-                 integrity: Optional[str] = None,
-                 integrity_report: Optional[IntegrityReport] = None):
-        check = self.integrity.decide(integrity)
-        if not check:
-            return self._inner(alpha, x)
-        t0 = time.perf_counter_ns()
-        x0 = np.array(x, dtype=np.float64)
-        expected = alpha * float(x0.sum())
-        magnitude = abs(alpha) * float(np.abs(x0).sum())
-
-        out = self._inner(alpha, x)
-        if _sum_close(float(np.asarray(out).sum()), expected, magnitude,
-                      x0.size):
-            self._verified(integrity_report, t0, False, False)
-            return out
-        x[:] = x0
-        out = self._inner(alpha, x)
-        if _sum_close(float(np.asarray(out).sum()), expected, magnitude,
-                      x0.size):
-            self._verified(integrity_report, t0, True, False)
-            return out
-        self._corrupt("scal sum identity violated twice", integrity_report)
-        x[:] = alpha * x0
-        self._verified(integrity_report, t0, True, True)
-        return x
-
-
-_WRAPPERS = {
-    "gemv": IntegrityGemvDriver,
-    "ger": IntegrityGerDriver,
-    "axpy": IntegrityAxpyDriver,
-    "dot": IntegrityDotDriver,
-    "scal": IntegrityScalDriver,
-}
-
-
 def wrap_driver(family: str, driver, checker: IntegrityChecker):
-    """Wrap a built driver with its ABFT check, where one exists.
+    """Wrap a built driver with its routine's ABFT check, where one exists.
 
     Reference-tier drivers are the oracle itself — wrapping them would
     only double the work — and drivers that verify internally
@@ -620,8 +478,13 @@ def wrap_driver(family: str, driver, checker: IntegrityChecker):
         return driver
     if getattr(driver, "supports_integrity", False):
         return driver
-    cls = _WRAPPERS.get(family)
-    return cls(driver, checker) if cls is not None else driver
+    # deferred: the routine table imports the drivers, which import this
+    from .routines import FAMILIES
+
+    row = FAMILIES.get(family)
+    if row is None or row.identity is None:
+        return driver
+    return IntegrityDriver(row, driver, checker)
 
 
 # ---------------------------------------------------------------------------

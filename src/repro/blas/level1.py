@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..backend.runner import AxpyKernel, DotKernel
+from ..backend.runner import NativeKernel
 from ..core.framework import GeneratedKernel
 
 
@@ -29,7 +29,7 @@ def unroll_of(generated: GeneratedKernel, var: str = "i") -> int:
 class AxpyDriver:
     """``y += alpha * x`` (unit stride, float64)."""
 
-    def __init__(self, kernel: AxpyKernel) -> None:
+    def __init__(self, kernel: NativeKernel) -> None:
         self.kernel = kernel
         self.unroll = unroll_of(kernel.generated)
 
@@ -51,7 +51,7 @@ class AxpyDriver:
 class DotDriver:
     """``x . y`` (unit stride, float64)."""
 
-    def __init__(self, kernel: DotKernel) -> None:
+    def __init__(self, kernel: NativeKernel) -> None:
         self.kernel = kernel
         self.unroll = unroll_of(kernel.generated)
 

@@ -4,7 +4,8 @@ with shared-memory operands.
 
 Layers:
 
-- :mod:`repro.serve.protocol` — header-only wire protocol + routine table
+- :mod:`repro.serve.protocol` — header-only wire protocol (its routine
+  contract is :data:`repro.blas.routines.ROUTINES`)
 - :mod:`repro.serve.shm` — client-owned shared-memory operand segments
 - :mod:`repro.serve.quotas` — per-client admission limits + accounting
 - :mod:`repro.serve.server` — the worker: bounded queue, deadlines,

@@ -11,9 +11,10 @@ client never strands server allocations.
 
 Framing is ``!I`` length prefix + UTF-8 JSON, bounded by
 :data:`MAX_FRAME` (headers are tiny; anything bigger is an attack or a
-bug).  The routine table :data:`ROUTINES` is shared by the client facade
-and the worker so both sides agree on operand names, output semantics
-(new array / in-place mutation / inline scalar), and result shapes.
+bug).  Both sides read each routine's operand names, output semantics
+(new array / in-place mutation / inline scalar) and result shapes off
+the one routine table, :data:`repro.blas.routines.ROUTINES`, re-exported
+here as :data:`ROUTINES`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ import json
 import socket
 import struct
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
+
+from ..blas.routines import ROUTINES  # noqa: F401 - the serve contract
 
 #: protocol version; a mismatch is a BAD_REQUEST, never a crash
 PROTOCOL_VERSION = 1
@@ -111,7 +114,11 @@ def recv_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
 
 @dataclass(frozen=True)
 class ArrayRef:
-    """A shared-memory operand: segment name + dtype + shape."""
+    """A shared-memory operand: segment name + dtype + shape.
+
+    Every kernel is double precision, so ``float64`` is the only dtype
+    the protocol accepts.
+    """
 
     shm: str
     shape: Tuple[int, ...]
@@ -119,7 +126,7 @@ class ArrayRef:
 
     @property
     def nbytes(self) -> int:
-        n = 8 if self.dtype == "float64" else 8
+        n = 8
         for dim in self.shape:
             n *= dim
         return n
@@ -134,62 +141,13 @@ class ArrayRef:
             shape = tuple(int(d) for d in rec["shape"])
             if any(d < 0 for d in shape):
                 raise ValueError("negative dimension")
-            return cls(shm=str(rec["shm"]), shape=shape,
-                       dtype=str(rec.get("dtype", "float64")))
+            dtype = str(rec.get("dtype", "float64"))
+            if dtype != "float64":
+                raise ValueError(f"dtype {dtype!r} is not float64")
+            return cls(shm=str(rec["shm"]), shape=shape, dtype=dtype)
         except (TypeError, KeyError, ValueError) as exc:
             raise ProtocolError(f"bad array descriptor {rec!r}: {exc}") \
                 from None
-
-
-# ---------------------------------------------------------------------------
-# routine table (shared client/server contract)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RoutineSpec:
-    """One servable routine family, as the drivers see it.
-
-    ``output`` is ``"new"`` (client sends an ``out`` segment the server
-    fills), ``"scalar"`` (result inline in the response), or the name of
-    the operand the server mutates in place.
-    """
-
-    family: str
-    arrays: Tuple[str, ...]                 # required operand names
-    optional: Tuple[str, ...] = ()          # operands that may be absent
-    scalars: Tuple[str, ...] = ()           # float parameters
-    flags: Tuple[str, ...] = ()             # boolean parameters
-    output: str = "new"
-    #: result shape from operand shapes + flags (``"new"`` outputs only)
-    shape_fn: Optional[Callable[[Dict[str, Tuple[int, ...]],
-                                 Dict[str, bool]], Tuple[int, ...]]] = None
-
-    def result_shape(self, shapes: Dict[str, Tuple[int, ...]],
-                     flags: Dict[str, bool]) -> Tuple[int, ...]:
-        assert self.output == "new" and self.shape_fn is not None
-        return self.shape_fn(shapes, flags)
-
-
-ROUTINES: Dict[str, RoutineSpec] = {
-    "gemm": RoutineSpec(
-        family="gemm", arrays=("a", "b"), optional=("c",),
-        scalars=("alpha", "beta"), output="new",
-        shape_fn=lambda s, f: (s["a"][0], s["b"][1])),
-    "gemv": RoutineSpec(
-        family="gemv", arrays=("a", "x"), optional=("y",),
-        scalars=("alpha", "beta"), flags=("trans",), output="new",
-        shape_fn=lambda s, f: ((s["a"][1],) if f.get("trans")
-                               else (s["a"][0],))),
-    "ger": RoutineSpec(
-        family="ger", arrays=("x", "y", "a"), scalars=("alpha",),
-        output="a"),
-    "axpy": RoutineSpec(
-        family="axpy", arrays=("x", "y"), scalars=("alpha",), output="y"),
-    "dot": RoutineSpec(
-        family="dot", arrays=("x", "y"), output="scalar"),
-    "scal": RoutineSpec(
-        family="scal", arrays=("x",), scalars=("alpha",), output="x"),
-}
 
 
 # ---------------------------------------------------------------------------

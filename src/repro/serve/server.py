@@ -178,7 +178,7 @@ class ServeWorker:
         return self._blas
 
     def _driver_for(self, routine: str):
-        return getattr(self.blas, f"{ROUTINES[routine].family}_driver")
+        return self.blas.driver(routine)
 
     def _warmup(self) -> None:
         """Build the configured routine families before accepting work."""
@@ -364,6 +364,13 @@ class ServeWorker:
             send_frame(conn, error_response(ERR_BAD_REQUEST,
                                             f"unknown routine {routine!r}"))
             return
+        try:
+            deadline_ms = int(header.get("deadline_ms", 1000))
+        except (TypeError, ValueError, OverflowError):
+            send_frame(conn, error_response(
+                ERR_BAD_REQUEST,
+                f"bad deadline_ms {header.get('deadline_ms')!r}"))
+            return
         with self._state_lock:
             index = self._call_index
             self._call_index += 1
@@ -383,7 +390,6 @@ class ServeWorker:
         if fault == "serve_stall":
             # outlive the deadline but stay inside the client's socket
             # timeout (deadline + 1s) so the deadline answer is seen
-            deadline_ms = int(header.get("deadline_ms", 1000))
             time.sleep(min(deadline_ms / 1000.0 + 0.4, STALL_CAP))
             incr("serve.deadline_expired")
             send_frame(conn, error_response(
@@ -426,7 +432,6 @@ class ServeWorker:
                 exc.code, str(exc), retry_after_ms=cfg.retry_after_ms))
             return
 
-        deadline_ms = int(header.get("deadline_ms", 1000))
         request = _Request(header, client, routine,
                            deadline=time.monotonic() + deadline_ms / 1000.0,
                            index=index, nbytes=nbytes)
@@ -498,7 +503,7 @@ class ServeWorker:
 
     def _execute(self, request: _Request) -> Dict[str, Any]:
         header = request.header
-        spec = ROUTINES[request.routine]
+        row = ROUTINES[request.routine]
         try:
             driver = self._driver_for(request.routine)
         except Exception as exc:  # noqa: BLE001 - construction failure
@@ -506,27 +511,7 @@ class ServeWorker:
                                   f"driver unavailable: {exc}")
         try:
             with AttachedSet() as attached:
-                arrays: Dict[str, np.ndarray] = {}
-                raw = header.get("arrays") or {}
-                for name in spec.arrays:
-                    if name not in raw:
-                        return error_response(
-                            ERR_BAD_REQUEST, f"missing operand {name!r}")
-                    arrays[name] = attached.attach(ArrayRef.from_json(
-                        raw[name]))
-                for name in spec.optional:
-                    if raw.get(name):
-                        arrays[name] = attached.attach(ArrayRef.from_json(
-                            raw[name]))
-                scalars = {name: float((header.get("scalars") or {})
-                                       .get(name, 0.0))
-                           for name in spec.scalars}
-                flags = {name: bool((header.get("flags") or {})
-                                    .get(name, False))
-                         for name in spec.flags}
-                return self._run_routine(request.routine, driver, spec,
-                                         arrays, scalars, flags, header,
-                                         attached)
+                return self._run_routine(row, driver, header, attached)
         except ProtocolError as exc:
             return error_response(ERR_BAD_REQUEST, str(exc))
         except FileNotFoundError as exc:
@@ -537,8 +522,26 @@ class ServeWorker:
             return error_response(ERR_INTERNAL,
                                   f"{type(exc).__name__}: {exc}")
 
-    def _run_routine(self, routine: str, driver, spec, arrays, scalars,
-                     flags, header, attached: AttachedSet) -> Dict[str, Any]:
+    def _run_routine(self, row, driver, header,
+                     attached: AttachedSet) -> Dict[str, Any]:
+        """Bind the request to the row's driver call and run it."""
+        raw = header.get("arrays") or {}
+        call: Dict[str, Any] = {}
+        for name in row.arrays:
+            if name not in raw:
+                return error_response(ERR_BAD_REQUEST,
+                                      f"missing operand {name!r}")
+            call[name] = attached.attach(ArrayRef.from_json(raw[name]))
+        for name in row.optional:
+            call[name] = attached.attach(ArrayRef.from_json(raw[name])) \
+                if raw.get(name) else None
+        scalars = header.get("scalars") or {}
+        flags = header.get("flags") or {}
+        for name in row.scalars:
+            call[name] = float(scalars.get(name, 0.0))
+        for name in row.flags:
+            call[name] = bool(flags.get(name, False))
+
         # Per-request ABFT: a flagged request runs the driver in the
         # requested mode and gets the verdict back in the response, so
         # clients can audit correction/quarantine activity per call.
@@ -551,45 +554,28 @@ class ServeWorker:
             kwargs = {"integrity": str(req_integrity),
                       "integrity_report": report}
 
-        def done(response: Dict[str, Any]) -> Dict[str, Any]:
-            if report is not None:
-                response["integrity"] = report.to_json()
-            return response
-
-        if routine == "gemm":
-            result = driver(arrays["a"], arrays["b"], arrays.get("c"),
-                            alpha=scalars["alpha"], beta=scalars["beta"],
-                            **kwargs)
-        elif routine == "gemv":
-            result = driver(arrays["a"], arrays["x"], arrays.get("y"),
-                            alpha=scalars["alpha"], beta=scalars["beta"],
-                            trans=flags["trans"], **kwargs)
-        elif routine == "dot":
-            return done(ok_response(value=float(driver(arrays["x"],
-                                                       arrays["y"],
-                                                       **kwargs))))
-        elif spec.output in spec.arrays:
-            # in-place routines (ger, axpy, scal) share one call shape:
-            # alpha, then the operands in spec order
-            driver(scalars["alpha"], *(arrays[name] for name in spec.arrays),
-                   **kwargs)
-            return done(ok_response(result=spec.output))
-        else:  # unreachable: admission validated the routine
-            return error_response(ERR_BAD_REQUEST,
-                                  f"unservable routine {routine!r}")
-        out_rec = header.get("out")
-        if not out_rec:
-            return error_response(ERR_BAD_REQUEST,
-                                  f"{routine} needs an 'out' segment")
-        out_view = attached.attach(ArrayRef.from_json(out_rec))
-        result = np.asarray(result, dtype=np.float64)
-        if result.shape != out_view.shape:
-            return error_response(
-                ERR_BAD_REQUEST,
-                f"result shape {result.shape} does not fit out segment "
-                f"{out_view.shape}")
-        out_view[...] = result
-        return done(ok_response(result="out"))
+        result = driver(*(call[name] for name in row.params), **kwargs)
+        if row.output == "scalar":
+            response = ok_response(value=float(result))
+        elif row.output != "new":
+            response = ok_response(result=row.output)
+        else:
+            out_rec = header.get("out")
+            if not out_rec:
+                return error_response(ERR_BAD_REQUEST,
+                                      f"{row.name} needs an 'out' segment")
+            out_view = attached.attach(ArrayRef.from_json(out_rec))
+            result = np.asarray(result, dtype=np.float64)
+            if result.shape != out_view.shape:
+                return error_response(
+                    ERR_BAD_REQUEST,
+                    f"result shape {result.shape} does not fit out "
+                    f"segment {out_view.shape}")
+            out_view[...] = result
+            response = ok_response(result="out")
+        if report is not None:
+            response["integrity"] = report.to_json()
+        return response
 
     # -- introspection -----------------------------------------------------
 

@@ -19,10 +19,10 @@ def test_default_blas_is_singleton():
 
 def test_lazy_kernel_construction():
     blas = AugemBLAS()
-    assert blas._gemm is None
+    assert "gemm" not in blas._drivers
     blas.dgemm(np.eye(4), np.eye(4))
-    assert blas._gemm is not None
-    assert blas._gemv is None  # untouched routines stay ungenerated
+    assert "gemm" in blas._drivers
+    assert "gemv" not in blas._drivers  # untouched routines stay ungenerated
 
 
 def test_custom_config_used(rng):

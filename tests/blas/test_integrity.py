@@ -379,6 +379,37 @@ def test_gemv_strike_hits_the_kernel_that_ran(trans, corrupt, rng):
     assert idle.generated.body_hash not in strike_counts()
 
 
+def test_gemv_n_strike_quarantines_under_gemv_n_and_rebuilds_gemv(
+        tmp_path, monkeypatch, rng):
+    """The dot-form kernel is struck under its own family, so the
+    quarantine record sits under the key the dispatch loader consults,
+    and the facade drops its GEMV driver for a rebuild down the chain."""
+    from repro.isa.arch import GENERIC_SSE
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+    monkeypatch.setenv("REPRO_FORCE_ARCH", "reference")
+    reset_cache()
+    dispatch.reset_dispatch_state()
+    try:
+        blas = AugemBLAS(integrity=IntegrityChecker(mode="full",
+                                                    strike_limit=1))
+        inner = _emulated_gemv("gemv_n")
+        blas._drivers["gemv"] = wrap_driver("gemv", inner,
+                                            blas.integrity_checker)
+        a = rng.standard_normal((16, 16))
+        x = rng.standard_normal(16)
+        assert np.allclose(blas.dgemv(a, x), a @ x)
+        gk_n = inner.kernel_n.generated
+        assert get_cache().load_quarantine(
+            quarantine_key("gemv_n", GENERIC_SSE, gk_n)) is not None
+        assert "gemv" not in blas._drivers
+        assert np.allclose(blas.dgemv(a, x), a @ x)
+        assert blas.dispatch_report()["gemv"].tier == "reference"
+    finally:
+        dispatch.reset_dispatch_state()
+        reset_cache()
+
+
 class _TamperedGer:
     """A rank-1 update that flips one element of A for the first
     ``bad`` calls (``corrupt``-style silent damage), correct afterwards."""
@@ -431,7 +462,7 @@ def test_dger_advances_the_sample_counter_by_exactly_one(rng):
 
     blas = AugemBLAS(integrity="sample:4", hardened=False)
     inner = _TamperedGer(bad=0)
-    blas._ger = wrap_driver("ger", inner, blas.integrity_checker)
+    blas._drivers["ger"] = wrap_driver("ger", inner, blas.integrity_checker)
     x, y = rng.standard_normal(12), rng.standard_normal(5)
     for call in range(1, 9):
         blas.dger(0.5, x, y, rng.standard_normal((12, 5)))

@@ -121,8 +121,20 @@ class TestArrayRef:
         with pytest.raises(ProtocolError):
             ArrayRef.from_json({"shape": [2]})
 
+    def test_only_float64_operands(self):
+        for dtype in ("nope", "float32"):
+            with pytest.raises(ProtocolError):
+                ArrayRef.from_json({"shm": "s", "shape": [2],
+                                    "dtype": dtype})
+        assert ArrayRef.from_json({"shm": "s", "shape": [2, 3]}).nbytes == 48
+
 
 class TestRoutineTable:
+    def test_serve_contract_is_the_routine_table(self):
+        from repro.blas import routines
+
+        assert ROUTINES is routines.ROUTINES
+
     def test_families_cover_served_blas(self):
         assert set(ROUTINES) == {"gemm", "gemv", "ger", "axpy", "dot",
                                  "scal"}

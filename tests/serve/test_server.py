@@ -147,6 +147,32 @@ class TestAdmission:
             second.close()
         assert worker.quotas.snapshot()["greedy"]["rejected_quota"] == 1
 
+    def test_malformed_deadline_is_bad_request_and_frees_no_slot(
+            self, serve_env):
+        worker, config = serve_env
+        worker.quotas.max_inflight_per_client = 2
+        with SegmentSet() as segments:
+            _view, ref = segments.add((4,), fill=np.ones(4))
+            bad = _scal_header(ref, client="c")
+            bad["deadline_ms"] = "soon"
+            for _ in range(2):   # two of these once locked "c" out
+                reply = rpc(config.socket_path, bad)
+                assert reply["error"]["code"] == ERR_BAD_REQUEST
+            assert worker.quotas.totals()["inflight"] == 0
+            assert rpc(config.socket_path,
+                       _scal_header(ref, client="c"))["ok"]
+
+    @pytest.mark.parametrize("dtype", ["nope", "float32"])
+    def test_non_float64_operand_is_bad_request(self, serve_env, dtype):
+        worker, config = serve_env
+        with SegmentSet() as segments:
+            _view, ref = segments.add((4,), fill=np.ones(4))
+            header = _scal_header(ref, client="d")
+            header["arrays"]["x"]["dtype"] = dtype
+            reply = rpc(config.socket_path, header)
+        assert reply["error"]["code"] == ERR_BAD_REQUEST
+        assert worker.quotas.snapshot().get("d", {}).get("admitted", 0) == 0
+
     def test_oversized_request_bytes(self, serve_env):
         worker, config = serve_env
         worker.quotas.max_request_bytes = 64

@@ -209,3 +209,24 @@ def test_dispatch_probe_reports_serving_tier(capsys):
     # both are valid outcomes (a toolchain-free host demotes)
     assert "VERIFIED" in out or "DEMOTED" in out
     reset_dispatch_state()
+
+
+def test_tune_choices_are_the_tuned_routine_rows():
+    from repro.__main__ import TUNE_CHOICES
+    from repro.tuning import CANDIDATE_SPACES
+
+    assert set(TUNE_CHOICES) - {"sessions"} == set(CANDIDATE_SPACES)
+
+
+def test_runtime_imports_leave_the_tuner_unloaded():
+    """The facade, client and worker never import the tuner (a cold CLI
+    or daemon start would pay for it)."""
+    code = ("import sys, repro.blas.api, repro.blas.client, "
+            "repro.serve.server; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('repro.tuning')))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
