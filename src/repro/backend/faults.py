@@ -29,8 +29,8 @@ A plan is a list of specs, each ``kind@match[:count]``:
     the client's retry-with-backoff path)
 
     ``worker_die`` — a GEMM worker thread raises
-    :class:`InjectedWorkerFault` just before computing the matching
-    macro-tile (exercises the parallel driver's whole-call failure
+    :class:`InjectedWorkerFault` before the native GEBP call that covers
+    the matching macro-tile (exercises the parallel driver's whole-call failure
     path: no partial C writes reach the caller, packing buffers return
     to the pool)
     ``corrupt`` — flip one high mantissa/exponent bit in the matching

@@ -151,15 +151,16 @@ class AugemBLAS:
         g = self.guard
         alpha = g.scalar("dgemm", "alpha", alpha)
         beta = g.scalar("dgemm", "beta", beta)
-        a = g.matrix("dgemm", "a", a)
-        b = g.matrix("dgemm", "b", b)
+        # the GEMM driver reads operands through their strides
+        a = g.matrix("dgemm", "a", a, contiguous=False)
+        b = g.matrix("dgemm", "b", b, contiguous=False)
         if a.shape[1] != b.shape[0]:
             g.reject("dgemm", "b", f"inner dimensions differ: "
                                    f"A is {a.shape}, B is {b.shape}",
                      value=b)
         m, n = a.shape[0], b.shape[1]
         if c is not None:
-            c = g.matrix("dgemm", "c", c, shape=(m, n))
+            c = g.matrix("dgemm", "c", c, shape=(m, n), contiguous=False)
         if m == 0 or n == 0 or a.shape[1] == 0:
             g.note_zero_dim()
             return np.zeros((m, n)) + ref_gemm(a, b, c, alpha, beta)

@@ -2,7 +2,7 @@
 micro-kernel (paper §4.1: "Our GEMM kernel is based on a general
 block-partitioned algorithm originally developed by Goto").
 
-The driver:
+Python plans the call; C runs it.  The driver:
 
 1. owns exactly one full-size array per call — the C-contiguous result,
    ``beta * C`` or zeros — and swaps the operand roles at entry: a
@@ -11,26 +11,31 @@ The driver:
    result it belongs to;
 2. partitions (the swapped) C into Mc x Nc macro-tiles and K into Kc
    slices (Kc = 256 in the paper's evaluation), shrinking Mc/Nc when
-   needed so there are at least as many tiles as compute threads;
-3. packs the A block (alpha folded in during the pack — no scaled copy
-   is ever materialized) and the B panel into the layouts the generated
-   kernel expects, all through a reusable
-   :class:`~repro.blas.threading.PackBufferPool`;
-4. runs the remainder-free micro-kernel over every macro-tile — on one
-   thread, or partitioned across the persistent
-   :class:`~repro.blas.threading.WorkerPool` (BLIS-style jc/ic loop
-   parallelism; the ctypes kernel call releases the GIL) — into a pooled
-   scratch tile that is verified and then added straight into its block
-   of the result.
+   needed so there are at least as many tiles as compute threads, and
+   lists the tiles column by column;
+3. splits that list into one contiguous range per thread and runs each
+   range in one call of the native GEBP loop (:mod:`repro.blas.gebp`) on
+   buffers lent by a :class:`~repro.blas.threading.PackBufferPool`.  The
+   loop packs the B panels of each column it covers once, packs each A
+   block with alpha folded in, calls the micro-kernel, and adds each
+   finished tile into its block of the result.  It reads the operands
+   through their strides, so F-ordered, transposed and sliced inputs are
+   never copied.  With more than one thread the ranges run on the
+   persistent :class:`~repro.blas.threading.WorkerPool`; the native call
+   releases the GIL.
 
 Parallel execution is **bit-identical** to single-threaded execution at
-any thread count: each (jc, ic) macro-tile is owned by exactly one task,
-its kc-slices run sequentially inside that task, every C element is
-accumulated in strictly ascending k order by the kernel, and tiles land
-in disjoint blocks of the result — so no floating-point operation ever
-reorders, whatever the scheduling.  B panels are packed once per
-(jc, kc) slice by the first task to need them and shared read-only;
-A-block packing is per-task into pooled buffers.
+any thread count: each (jc, ic) macro-tile is computed by exactly one
+native call, its kc-slices run in ascending order on a zeroed tile
+buffer, and tiles land in disjoint blocks of the result — so no
+floating-point operation ever reorders, whatever the scheduling.  A
+column split across two ranges has its B panels packed by both.
+
+Python keeps the decisions around the loop: the fault plan
+(``worker_die`` raises before the native call covering the tile;
+``corrupt`` flips the tile's bits through a per-tile hook) and the ABFT
+ladder of :mod:`repro.blas.integrity`, which the same hook runs on the
+finished tile before the loop adds it.
 
 ``alpha`` scales the packed A block; ``beta`` pre-scales C — the kernel
 itself computes pure ``C += A*B`` exactly as in paper Fig. 12.  The
@@ -40,11 +45,12 @@ thread count comes from the constructor, a per-call override, or
 
 from __future__ import annotations
 
+import ctypes
 import threading as _threading
 import time as _time
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,10 +60,10 @@ from ..backend.runner import NativeKernel
 from ..core.framework import GeneratedKernel
 from ..obs import event, incr, span
 from ..obs import trace as _trace
+from .gebp import HOOK_FN, KERNEL_FN, gebp_function, start_build
 from .integrity import STATS as _ISTATS
 from .integrity import (IntegrityChecker, IntegrityReport,
                         resolve_integrity, verify_gemm_tile)
-from .packing import pack_a, pack_b_dup, pack_b_shuf
 from .threading import PackBufferPool, get_pool, resolve_threads
 
 
@@ -115,15 +121,23 @@ def split_for_threads(m: int, n: int, mc: int, nc: int, mu: int, nu: int,
     return mc, nc
 
 
-class _PanelSlot:
-    """Once-per-(jc, kc) B panel: first claimant packs, the rest wait."""
+def _strided(x: np.ndarray) -> np.ndarray:
+    """``x`` itself when C can read it through whole-element strides."""
+    s0, s1 = x.strides
+    if x.flags.aligned and not (s0 | s1) % 8:
+        return x
+    return np.ascontiguousarray(x)
 
-    __slots__ = ("event", "buf", "error")
 
-    def __init__(self) -> None:
-        self.event = _threading.Event()
-        self.buf: Optional[np.ndarray] = None
-        self.error: Optional[BaseException] = None
+def _operand(x: np.ndarray) -> tuple:
+    """(address, row stride, column stride) of a 2-D float64 array, in
+    elements; the address is that of ``x[0, 0]`` whatever the signs."""
+    return x.ctypes.data, x.strides[0] // 8, x.strides[1] // 8
+
+
+def _view(address: int, size: int) -> np.ndarray:
+    return np.ctypeslib.as_array((ctypes.c_double * size).from_address(
+        address))
 
 
 class GemmDriver:
@@ -131,13 +145,18 @@ class GemmDriver:
 
     One driver instance is safe to call from many threads concurrently:
     the packing-buffer pool is lock-protected, worker pools are shared
-    process-wide, and every call works on private tile buffers.
+    process-wide, and every native call works on its own buffers.
+
+    A :class:`~repro.backend.runner.NativeKernel` is handed to the C loop
+    by address.  Any other kernel callable with the same signature (the
+    emulator, the tests' numpy stand-ins) is reached through a ctypes
+    trampoline into the same loop.
     """
 
     #: the serve worker keys per-request ABFT on this marker
     supports_integrity = True
 
-    def __init__(self, kernel: NativeKernel, layout: str = "dup",
+    def __init__(self, kernel, layout: str = "dup",
                  blocks: Optional[BlockSizes] = None,
                  threads: Optional[int] = None,
                  pack_pool: Optional[PackBufferPool] = None,
@@ -146,6 +165,7 @@ class GemmDriver:
             raise ValueError("layout must be 'dup' or 'shuf'")
         self.kernel = kernel
         self.layout = layout
+        self.family = "gemm" if layout == "dup" else "gemm_shuf"
         self.blocks = blocks or BlockSizes()
         self.threads = resolve_threads(threads)
         self.pack_pool = pack_pool or PackBufferPool()
@@ -154,6 +174,10 @@ class GemmDriver:
             self.integrity = integrity
         else:
             self.integrity = IntegrityChecker(mode=integrity)
+        self._gebp = gebp_function()
+        self._kernel_address = (
+            ctypes.cast(kernel.fn, ctypes.c_void_p).value
+            if isinstance(kernel, NativeKernel) else None)
 
     def __call__(self, a: np.ndarray, b: np.ndarray,
                  c: Optional[np.ndarray] = None,
@@ -162,7 +186,8 @@ class GemmDriver:
                  integrity: Optional[str] = None,
                  integrity_report: Optional[IntegrityReport] = None
                  ) -> np.ndarray:
-        """``C = alpha * A @ B + beta * C`` for row-major 2-D float64 arrays.
+        """``C = alpha * A @ B + beta * C`` for 2-D float64 arrays of any
+        strides.
 
         ``integrity`` overrides the driver's ABFT mode for this call
         (the serve per-request flag); ``integrity_report`` collects the
@@ -186,17 +211,18 @@ class GemmDriver:
         else:
             out = np.multiply(c, beta, order="C")
         report = integrity_report
-        check = self.integrity.decide(integrity)
         if report is not None:
             report.mode = self.integrity.mode if integrity is None \
                 else resolve_integrity(integrity)[0]
+        if alpha == 0.0 or m == 0 or n == 0 or k == 0:
+            return out  # no tile runs, so no sampling slot is spent
+        check = self.integrity.decide(integrity)
+        if report is not None:
             report.checked = report.checked or check
-        if alpha == 0.0 or k == 0:
-            return out
 
         # row-major C is column-major Cᵀ = Bᵀ Aᵀ: after the swap a kernel
         # tile has the layout of the block of ``out`` it is added into
-        a, b, m, n = b.T, a.T, n, m
+        a, b, m, n = _strided(b.T), _strided(a.T), n, m
 
         nthreads = self.threads if threads is None \
             else resolve_threads(threads)
@@ -215,239 +241,212 @@ class GemmDriver:
                 im = min(mc, m - i0)
                 tiles.append((j0, jn, _round_up(jn, self.nu),
                               i0, im, _round_up(im, self.mu)))
-        if tiles:
-            self._run_tiles(tiles, a, b, out, alpha, k, kc,
-                            min(nthreads, len(tiles)), check=check,
-                            report=report)
+        _GebpCall(self, tiles, a, b, out, alpha, k, mc, nc, kc, check,
+                  report).run(min(nthreads, len(tiles)))
         return out
 
-    # -- tile execution ----------------------------------------------------
 
-    def _run_tiles(self, tiles, a, b, out, alpha, k, kc,
-                   nthreads, check: bool = False,
-                   report: Optional[IntegrityReport] = None) -> None:
-        """Run every macro-tile of ``out.T = a @ b`` (the swapped
-        operands of :meth:`__call__`): ``out`` is indexed ``[j, i]``."""
-        pool = self.pack_pool
-        plan = get_fault_plan()  # one env lookup per call, not per tile
-        pack_b = pack_b_dup if self.layout == "dup" else pack_b_shuf
-        family = "gemm" if self.layout == "dup" else "gemm_shuf"
-        panels: Dict[Tuple[int, int], _PanelSlot] = {}
-        panel_lock = _threading.Lock()
-        # tiles remaining per j-column: when a column drains, its B
-        # panels go back to the pool instead of living to call end
-        j_remaining: Dict[int, int] = {}
-        for tile in tiles:
-            j_remaining[tile[0]] = j_remaining.get(tile[0], 0) + 1
+class _GebpCall:
+    """One GEMM call's tile plan, run as native GEBP calls.
 
-        def retire_column(j0: int) -> None:
-            to_release = []
-            with panel_lock:
-                j_remaining[j0] -= 1
-                if j_remaining[j0] == 0:
-                    for (pj, _pl), slot in panels.items():
-                        if pj == j0 and slot.buf is not None:
-                            to_release.append(slot.buf)
-                            slot.buf = None
-            for buf in to_release:
-                pool.release(buf)
+    ``a @ b`` are the swapped operands of :meth:`GemmDriver.__call__`
+    and ``out`` is indexed ``[j, i]``.  Each worker runs one contiguous
+    range of the tile list in one native call.  The per-tile hook — the
+    ``corrupt`` fault and the ABFT ladder — is passed only when a check
+    is due or a fault is planned for a tile of the range.
+    """
 
-        def ensure_panel(j0: int, jn: int, jn_pad: int, l0: int, ln: int,
-                         ln_pad: int) -> np.ndarray:
-            """The shared read-only B panel for (j0, l0); packed once."""
-            key = (j0, l0)
-            with panel_lock:
-                slot = panels.get(key)
-                owner = slot is None
-                if owner:
-                    slot = panels[key] = _PanelSlot()
-            if owner:
-                try:
-                    buf = pool.acquire(ln_pad * jn_pad)
-                    try:
-                        pack_b(b[l0:l0 + ln, j0:j0 + jn], ln_pad, jn_pad,
-                               out=buf)
-                    except BaseException:
-                        pool.release(buf)
-                        raise
-                    slot.buf = buf
-                except BaseException as exc:  # noqa: BLE001 - rethrown
-                    slot.error = exc
-                    raise
-                finally:
-                    slot.event.set()
-            else:
-                slot.event.wait()
-                if slot.error is not None:
-                    raise RuntimeError(
-                        f"B panel ({j0}, {l0}) packing failed: "
-                        f"{slot.error}") from slot.error
-            return slot.buf
+    def __init__(self, driver: GemmDriver, tiles, a, b, out, alpha: float,
+                 k: int, mc: int, nc: int, kc: int, check: bool,
+                 report: Optional[IntegrityReport]) -> None:
+        self.driver = driver
+        self.tiles = tiles
+        self.table = np.array(tiles, dtype=np.int64)
+        self.a, self.b, self.out = a, b, out
+        self.alpha, self.k, self.kc = alpha, k, kc
+        self.check, self.report = check, report
+        # one pooled workspace per native call: the A block, every Kc
+        # panel of one B column, and the tile the kernel accumulates
+        # into, each starting on a 64-byte boundary
+        self.b_at = _round_up(mc * kc, 8)
+        self.c_at = self.b_at + sum(
+            _round_up(_round_up(min(kc, k - l0), driver.ku) * nc, 8)
+            for l0 in range(0, k, kc))
+        self.workspace = self.c_at + mc * nc
+        self.plan = get_fault_plan()  # one env lookup per call, not per tile
 
-        checker = self.integrity
+    # -- scheduling ----------------------------------------------------------
 
-        def fault_at(index: int) -> Optional[str]:
-            """The planned thread-stage fault for this tile, if armed."""
-            return plan.take("thread", tag=family, index=index) \
-                if plan is not None else None
+    def run(self, nthreads: int) -> None:
+        ntiles = len(self.tiles)
+        bounds = [ntiles * t // nthreads for t in range(nthreads + 1)]
+        tasks = [partial(self.run_range, lo, hi)
+                 for lo, hi in zip(bounds, bounds[1:])]
+        if nthreads == 1:
+            tasks[0]()
+            return
+        with span("gemm.parallel", layout=self.driver.layout,
+                  threads=nthreads, tiles=ntiles, k=self.k) as sp:
+            busy = get_pool(nthreads).run(tasks)
+            if _trace.enabled():
+                sp.set(busy_s=round(sum(busy.values()), 6))
+                incr("gemm.parallel.calls")
+                incr("gemm.parallel.tasks", len(tasks))
+                incr("gemm.parallel.worker_busy", sum(busy.values()))
+                for worker, seconds in sorted(busy.items()):
+                    event("gemm.parallel.worker", worker=worker,
+                          busy_s=round(seconds, 6))
 
-        def note(field: str, n: int = 1) -> None:
-            _ISTATS.add(field, n)
-            incr(f"integrity.{field}", n)
-            # the per-call report counts tiles_checked, not raw checks
-            if report is not None and field != "checks":
-                report.note(field, n)
+    def fault_at(self, index: int) -> Optional[str]:
+        """The planned thread-stage fault for this tile, if armed."""
+        return self.plan.take("thread", tag=self.driver.family,
+                              index=index) if self.plan is not None else None
 
-        def note_overhead(t0: int) -> None:
-            dt = _time.perf_counter_ns() - t0
-            _ISTATS.add("overhead_ns", dt)
-            if report is not None:
-                report.note("overhead_ns", dt)
-
-        def compute_tile(j0: int, jn: int, jn_pad: int, i0: int, im: int,
-                         im_pad: int, corrupt: bool,
-                         shared_panels: bool) -> np.ndarray:
-            """Pack and multiply one macro-tile into a pooled buffer.
-
-            The caller owns (and must release) the returned buffer.
-            ``shared_panels=False`` repacks B privately — the ABFT
-            retry must not reuse a possibly-corrupt shared panel.
-            """
-            c_buf = pool.acquire(im_pad * jn_pad)
-            try:
-                c_buf[:] = 0.0
-                for l0 in range(0, k, kc):
-                    ln = min(kc, k - l0)
-                    ln_pad = _round_up(ln, self.ku)
-                    b_private: Optional[np.ndarray] = None
-                    if shared_panels:
-                        b_panel = ensure_panel(j0, jn, jn_pad, l0, ln,
-                                               ln_pad)
-                    else:
-                        b_panel = b_private = pool.acquire(ln_pad * jn_pad)
-                    a_buf = pool.acquire(im_pad * ln_pad)
-                    try:
-                        if b_private is not None:
-                            pack_b(b[l0:l0 + ln, j0:j0 + jn], ln_pad,
-                                   jn_pad, out=b_private)
-                        pack_a(a[i0:i0 + im, l0:l0 + ln], im_pad, ln_pad,
-                               out=a_buf, alpha=alpha)
-                        self.kernel(im_pad, jn_pad, ln_pad,
-                                    a_buf, b_panel, c_buf, im_pad)
-                    finally:
-                        pool.release(a_buf)
-                        if b_private is not None:
-                            pool.release(b_private)
-                if corrupt:
-                    corrupt_tile(c_buf)
-                return c_buf
-            except BaseException:
-                pool.release(c_buf)
-                raise
-
-        def resolve_tile(c_buf: np.ndarray, index: int, j0: int, jn: int,
-                         jn_pad: int, i0: int, im: int,
-                         im_pad: int) -> np.ndarray:
-            """The verified (jn, im) tile to add into ``out``.
-
-            Clean tiles return the view into ``c_buf`` (added before
-            the caller releases it); the mismatch ladder returns a
-            private copy safe to read after any pooled buffer goes
-            back.
-            """
-            t0 = _time.perf_counter_ns()
-            a_sub = a[i0:i0 + im, :]
-            b_sub = b[:, j0:j0 + jn]
-            tile = c_buf.reshape(jn_pad, im_pad)[:jn, :im]
-            note("checks")
-            if report is not None:
-                report.note("tiles_checked")
-            if verify_gemm_tile(tile, a_sub, b_sub, alpha):
-                note_overhead(t0)
-                return tile
-            worker = _threading.current_thread().name
-            note("mismatches")
-            event("integrity.mismatch", family=family, tile=index,
-                  j0=j0, i0=i0, worker=worker)
-            # rung 1: retry once on freshly zeroed pooled buffers with
-            # privately packed panels (heals transient bit-flips and
-            # dirty-scratch races; the fault plan is re-consulted so a
-            # persistent `corrupt` spec corrupts the retry too)
-            note("retries")
-            buf2 = compute_tile(j0, jn, jn_pad, i0, im, im_pad,
-                                fault_at(index) == "corrupt",
-                                shared_panels=False)
-            try:
-                tile2 = buf2.reshape(jn_pad, im_pad)[:jn, :im]
-                if verify_gemm_tile(tile2, a_sub, b_sub, alpha):
-                    event("integrity.retry_ok", family=family, tile=index,
-                          j0=j0, i0=i0)
-                    tile2 = np.array(tile2)
-                    note_overhead(t0)
-                    return tile2
-                tile2 = None
-            finally:
-                pool.release(buf2)
-            # rung 2: reference recompute — the caller always receives
-            # correct bits, whatever the kernel did
-            note("reference_recomputes")
-            ref_tile = np.ascontiguousarray((alpha * (a_sub @ b_sub)).T)
-            # rung 3: strike the kernel; quarantine + demote at the limit
-            verdict = checker.record_corruption(
-                family, self.kernel,
-                detail=f"tile ({j0},{i0}) mismatched twice on {worker}")
-            if report is not None and verdict.get("quarantined"):
-                report.quarantine(str(verdict.get("body_hash")))
-            note_overhead(t0)
-            return ref_tile
-
-        def run_tile(index: int, j0: int, jn: int, jn_pad: int, i0: int,
-                     im: int, im_pad: int) -> None:
-            fault = fault_at(index)
+    def run_range(self, first: int, stop: int) -> None:
+        """Tiles ``first .. stop-1`` in one native call."""
+        corrupt = set()
+        for index in range(first, stop):
+            fault = self.fault_at(index)
             if fault == "worker_die":
                 raise InjectedWorkerFault(
-                    f"injected worker_die at {family} tile #{index}")
-            c_buf = compute_tile(j0, jn, jn_pad, i0, im, im_pad,
-                                 fault == "corrupt", shared_panels=True)
-            try:
-                if check:
-                    tile = resolve_tile(c_buf, index, j0, jn, jn_pad,
-                                        i0, im, im_pad)
-                else:
-                    tile = c_buf.reshape(jn_pad, im_pad)[:jn, :im]
-                # disjoint block per tile: concurrent adds never overlap
-                out[j0:j0 + jn, i0:i0 + im] += tile
-            finally:
-                pool.release(c_buf)
-            retire_column(j0)
+                    f"injected worker_die at {self.driver.family} tile "
+                    f"#{index}")
+            if fault == "corrupt":
+                corrupt.add(index)
+        hook = None
+        if self.check or corrupt:
+            def hook(index: int, c_buf: np.ndarray) -> None:
+                j0, jn, jn_pad, i0, im, im_pad = self.tiles[index]
+                tile = c_buf[:jn_pad * im_pad].reshape(jn_pad, im_pad)
+                if index in corrupt:
+                    corrupt_tile(tile)
+                if self.check:
+                    tile = tile[:jn, :im]
+                    resolved = self.resolve(tile, index)
+                    if resolved is not tile:
+                        tile[...] = resolved
+        self.native(self.table, first, stop - first, self.a, self.b,
+                    self.out, hook)
 
-        tasks = [partial(run_tile, idx, *tile)
-                 for idx, tile in enumerate(tiles)]
+    # -- the native call -----------------------------------------------------
+
+    def native(self, table: np.ndarray, first: int, count: int,
+               a: np.ndarray, b: np.ndarray, out: np.ndarray,
+               hook: Optional[Callable]) -> None:
+        """``augem_gebp`` over ``count`` tiles of ``table`` in a pooled
+        workspace.  An exception raised in the kernel trampoline or in
+        ``hook(index, c_buf)`` stops the loop and is re-raised here."""
+        driver, pool = self.driver, self.driver.pack_pool
+        errors: List[BaseException] = []
+        ws = pool.acquire(self.workspace)
         try:
-            if nthreads > 1:
-                with span("gemm.parallel", layout=self.layout,
-                          threads=nthreads, tiles=len(tiles), k=k) as sp:
-                    busy = get_pool(nthreads).run(tasks)
-                    if _trace.enabled():
-                        sp.set(busy_s=round(sum(busy.values()), 6))
-                        incr("gemm.parallel.calls")
-                        incr("gemm.parallel.tasks", len(tiles))
-                        incr("gemm.parallel.worker_busy",
-                             sum(busy.values()))
-                        for worker, seconds in sorted(busy.items()):
-                            event("gemm.parallel.worker", worker=worker,
-                                  busy_s=round(seconds, 6))
-            else:
-                for task in tasks:
-                    task()
+            kernel = driver._kernel_address
+            if kernel is None:
+                kernel = _trampoline(driver.kernel, errors)
+            c_hook = None if hook is None else \
+                _hook(hook, ws[self.c_at:], errors)
+            base = ws.ctypes.data
+            driver._gebp(kernel, driver.layout == "shuf", table.ctypes.data,
+                         first, count, *_operand(a), *_operand(b),
+                         *_operand(out), self.k, self.kc, driver.ku,
+                         self.alpha, base, base + 8 * self.b_at,
+                         base + 8 * self.c_at, c_hook)
         finally:
-            # failure path: columns that never drained still hold panels
-            with panel_lock:
-                leftover = [slot for slot in panels.values()
-                            if slot.buf is not None]
-                for slot in leftover:
-                    buf, slot.buf = slot.buf, None
-                    pool.release(buf)
+            pool.release(ws)
+        if errors:
+            raise errors[0]
+
+    # -- ABFT ------------------------------------------------------------------
+
+    def note(self, field: str, n: int = 1) -> None:
+        _ISTATS.add(field, n)
+        incr(f"integrity.{field}", n)
+        # the per-call report counts tiles_checked, not raw checks
+        if self.report is not None and field != "checks":
+            self.report.note(field, n)
+
+    def note_overhead(self, t0: int) -> None:
+        dt = _time.perf_counter_ns() - t0
+        _ISTATS.add("overhead_ns", dt)
+        if self.report is not None:
+            self.report.note("overhead_ns", dt)
+
+    def resolve(self, tile: np.ndarray, index: int) -> np.ndarray:
+        """The verified ``(jn, im)`` tile: ``tile`` itself when its
+        checksums hold, else the retry's or the reference's bits."""
+        driver, report = self.driver, self.report
+        family = driver.family
+        j0, jn, jn_pad, i0, im, im_pad = self.tiles[index]
+        t0 = _time.perf_counter_ns()
+        a_sub = self.a[i0:i0 + im, :]
+        b_sub = self.b[:, j0:j0 + jn]
+        self.note("checks")
+        if report is not None:
+            report.note("tiles_checked")
+        if verify_gemm_tile(tile, a_sub, b_sub, self.alpha):
+            self.note_overhead(t0)
+            return tile
+        worker = _threading.current_thread().name
+        self.note("mismatches")
+        event("integrity.mismatch", family=family, tile=index,
+              j0=j0, i0=i0, worker=worker)
+        # rung 1: retry once as a fresh one-tile native call that packs
+        # its own B panel (heals transient bit-flips and dirty-scratch
+        # races; the fault plan is re-consulted so a persistent
+        # `corrupt` spec corrupts the retry too).  The retry adds into
+        # -0.0, the identity of IEEE addition, so it holds the tile's
+        # exact bits, sign of zero included.
+        self.note("retries")
+        retry = np.full((jn, im), -0.0)
+        self.native(np.array([(0, jn, jn_pad, 0, im, im_pad)],
+                             dtype=np.int64), 0, 1, a_sub, b_sub, retry,
+                    None)
+        if self.fault_at(index) == "corrupt":
+            corrupt_tile(retry)
+        if verify_gemm_tile(retry, a_sub, b_sub, self.alpha):
+            event("integrity.retry_ok", family=family, tile=index,
+                  j0=j0, i0=i0)
+            self.note_overhead(t0)
+            return retry
+        # rung 2: reference recompute — the caller always receives
+        # correct bits, whatever the kernel did
+        self.note("reference_recomputes")
+        ref_tile = (self.alpha * (a_sub @ b_sub)).T
+        # rung 3: strike the kernel; quarantine + demote at the limit
+        verdict = driver.integrity.record_corruption(
+            family, driver.kernel,
+            detail=f"tile ({j0},{i0}) mismatched twice on {worker}")
+        if report is not None and verdict.get("quarantined"):
+            report.quarantine(str(verdict.get("body_hash")))
+        self.note_overhead(t0)
+        return ref_tile
+
+
+def _trampoline(kernel, errors: List[BaseException]):
+    """``kernel`` as a C function pointer over numpy views of its panels."""
+    def call(m, n, k, a, b, c, ldc):
+        if errors:
+            return
+        try:
+            kernel(m, n, k, _view(a, k * m), _view(b, k * n),
+                   _view(c, ldc * n), ldc)
+        except BaseException as exc:  # noqa: BLE001 - ctypes would swallow it
+            errors.append(exc)
+    return KERNEL_FN(call)
+
+
+def _hook(hook: Callable, c_buf: np.ndarray, errors: List[BaseException]):
+    """``hook(index, c_buf)`` as a C callback; nonzero stops the loop."""
+    def call(index):
+        if errors:
+            return 1
+        try:
+            hook(index, c_buf)
+            return 0
+        except BaseException as exc:  # noqa: BLE001 - ctypes would swallow it
+            errors.append(exc)
+            return 1
+    return HOOK_FN(call)
 
 
 def make_gemm(arch=None, config=None, strategy: str = "auto",
@@ -468,6 +467,7 @@ def make_gemm(arch=None, config=None, strategy: str = "auto",
     from ..core.framework import Augem
 
     load = loader or load_kernel
+    start_build()  # the compiler runs while the kernel is generated
     aug = Augem(arch=arch, schedule=schedule)
     kernel_name = "gemm" if layout == "dup" else "gemm_shuf"
     gk = aug.generate_named(kernel_name, config=config, strategy=strategy)

@@ -8,9 +8,10 @@ memory instead of raising.  :class:`ArgGuard` sits between the public
 reach assembly:
 
 - **coercion**: array-likes are converted to C-contiguous float64 (the
-  only layout the kernels accept); every copy/cast made on the way in is
-  counted (``dispatch.guard_coercion``) so callers can see conversion
-  overhead in a trace;
+  only layout the kernels accept; DGEMM's operands need only float64,
+  since its native packer reads any strides); every copy/cast made on
+  the way in is counted (``dispatch.guard_coercion``) so callers can see
+  conversion overhead in a trace;
 - **rejection**: wrong rank, mismatched shapes, non-numeric dtypes, and
   non-coercible *in-place* operands raise :class:`BlasArgumentError`
   with the routine and parameter named (``dispatch.guard_rejection``);
@@ -91,7 +92,7 @@ class ArgGuard:
 
     # -- coercion ---------------------------------------------------------
     def _coerce(self, routine: str, param: str, value,
-                ndim: int) -> np.ndarray:
+                ndim: int, contiguous: bool = True) -> np.ndarray:
         try:
             arr = np.asarray(value)
         except Exception:
@@ -107,7 +108,8 @@ class ArgGuard:
             self.reject(routine, param,
                         f"expected a {ndim}-D array, got {arr.ndim}-D "
                         f"shape {arr.shape}", value=arr)
-        out = np.ascontiguousarray(arr, dtype=np.float64)
+        out = np.ascontiguousarray(arr, dtype=np.float64) if contiguous \
+            else np.asarray(arr, dtype=np.float64)
         if out is not arr:
             self.stats.coercions += 1
             incr("dispatch.guard_coercion")
@@ -115,9 +117,12 @@ class ArgGuard:
         return out
 
     def matrix(self, routine: str, param: str, value,
-               shape: Optional[Tuple[int, int]] = None) -> np.ndarray:
-        """A C-contiguous float64 2-D array (copied/cast as needed)."""
-        arr = self._coerce(routine, param, value, ndim=2)
+               shape: Optional[Tuple[int, int]] = None,
+               contiguous: bool = True) -> np.ndarray:
+        """A float64 2-D array (copied/cast as needed), C-contiguous
+        unless ``contiguous=False`` lets its strides through."""
+        arr = self._coerce(routine, param, value, ndim=2,
+                           contiguous=contiguous)
         if shape is not None and arr.shape != shape:
             self.reject(routine, param,
                         f"expected shape {shape}, got {arr.shape}",

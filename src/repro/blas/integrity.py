@@ -10,9 +10,9 @@ literature uses for per-region correctness contracts.
 
 On a detected mismatch the containment ladder is:
 
-1. **retry** the tile once on freshly zeroed pooled buffers with
-   privately packed panels (a bit-flip in a pooled buffer or a race on
-   a dirty scratch slice does not repeat);
+1. **retry** the tile once as a fresh one-tile native GEBP call that
+   packs its own panels into freshly lent buffers (a bit-flip in a
+   pooled buffer or a race on a dirty scratch slice does not repeat);
 2. **recompute** the tile via numpy reference semantics if the retry
    still mismatches, so the caller always receives correct bits;
 3. **record** a corruption verdict against the kernel's
@@ -176,15 +176,16 @@ def verify_gemm_tile(tile: np.ndarray, a_sub: np.ndarray,
     eps = float(np.finfo(tile.dtype).eps) if tile.dtype.kind == "f" \
         else float(np.finfo(np.float64).eps)
     n_terms = k + im + jn
+    abs_a, abs_b = np.abs(a_sub), np.abs(b_sub)
 
     # column dual: sum over i of tile[j, i] vs alpha * (1ᵀA) @ B
     got_col = tile.sum(axis=1)
     exp_col = alpha * (a_sub.sum(axis=0) @ b_sub)
-    mag_col = abs(alpha) * (np.abs(a_sub).sum(axis=0) @ np.abs(b_sub))
+    mag_col = abs(alpha) * (abs_a.sum(axis=0) @ abs_b)
     # row dual: sum over j of tile[j, i] vs alpha * A @ (B·1)
     got_row = tile.sum(axis=0)
     exp_row = alpha * (a_sub @ b_sub.sum(axis=1))
-    mag_row = abs(alpha) * (np.abs(a_sub) @ np.abs(b_sub).sum(axis=1))
+    mag_row = abs(alpha) * (abs_a @ abs_b.sum(axis=1))
 
     if not (np.isfinite(exp_col).all() and np.isfinite(exp_row).all()
             and np.isfinite(mag_col).all() and np.isfinite(mag_row).all()):
@@ -496,7 +497,8 @@ def emulated_gemm_driver(threads: int = 1, integrity: str = "full",
     """An emulator-backed :class:`~repro.blas.gemm.GemmDriver`.
 
     Runs the generated SSE kernel through the bundled emulator — no
-    toolchain required — with per-tile ABFT in the requested mode.
+    assembled kernel, though the GEBP loop around it is compiled C, so
+    a C compiler is needed — with per-tile ABFT in the requested mode.
     Used by ``python -m repro integrity check`` and the test suite.
     """
     from ..core.framework import Augem

@@ -1,4 +1,8 @@
-"""Panel packing for the blocked GEMM driver (Goto's GEBP decomposition).
+"""Panel layouts of the blocked GEMM driver (Goto's GEBP decomposition).
+
+These numpy packers are the layout specification.  The driver itself
+packs natively, inside the C loop of :mod:`repro.blas.gebp`; the tests
+check every panel that loop builds against these functions, bit for bit.
 
 The generated micro-kernel (paper Fig. 12) indexes *packed* panels:
 
@@ -8,8 +12,8 @@ The generated micro-kernel (paper Fig. 12) indexes *packed* panels:
 - ``B[l*Nc + j]`` — the "shuf" layout: one contiguous Nc row per l.
 
 All packers accept arbitrary (even non-contiguous) float64 2-D inputs and
-zero-pad to the requested panel dimensions, so the driver can run the
-remainder-free micro-kernel over every edge block.
+zero-pad to the requested panel dimensions, so the remainder-free
+micro-kernel can run over every edge block.
 
 Every packer takes an optional ``out`` — a flat float64 buffer of exactly
 the panel's element count (typically lent by
@@ -17,8 +21,7 @@ the panel's element count (typically lent by
 without allocating; padding regions are re-zeroed explicitly, so a dirty
 reused buffer is safe.  ``pack_a`` additionally folds ``alpha`` into the
 panel (``np.multiply`` straight into the destination view), which is how
-the driver applies ``alpha * A @ B`` without materializing a scaled copy
-of the A block per tile.
+``alpha * A @ B`` is applied without a scaled copy of the A block.
 """
 
 from __future__ import annotations

@@ -3,18 +3,15 @@
 Two pieces, both process-wide and deliberately boring:
 
 - :class:`WorkerPool` — a persistent pool of daemon threads executing
-  macro-tile tasks.  Python threads are enough here because the hot work
-  (the generated micro-kernel behind a ctypes call, and numpy packing
-  ufuncs) releases the GIL; the interpreter only serializes the thin
-  driver logic between kernel calls.  Pools are keyed by size and reused
-  across GEMM calls (:func:`get_pool`), so steady-state calls never pay
-  thread start-up.
+  one task per range of macro-tiles.  Python threads are enough here
+  because the hot work (the native GEBP loop behind one ctypes call)
+  releases the GIL; the interpreter only runs the thin driver logic
+  around it.  Pools are keyed by size and reused across GEMM calls
+  (:func:`get_pool`), so steady-state calls never pay thread start-up.
 
 - :class:`PackBufferPool` — reusable packing buffers keyed by element
-  count.  Packing cost is the known remaining distance to library-grade
-  GEMM ("Automating the Last-Mile"), and a large part of that cost in a
-  Python driver is allocator churn: without pooling every macro-tile
-  allocates fresh A/B/C panels.  The pool lends flat float64 buffers,
+  count.  Without pooling every native call would allocate fresh A/B/C
+  panels; the pool lends flat float64 buffers,
   guards against handing one buffer to two concurrent borrowers (an
   aliasing bug here silently corrupts results), and keeps hit/miss/
   allocation counters that tests and traces can watch plateau.

@@ -32,7 +32,7 @@ from repro.core.framework import Augem
 from repro.emu.run import call_items
 from repro.isa.arch import SKYLAKE_X
 
-from tests.conftest import needs_avx512
+from tests.conftest import needs_avx512, needs_cc
 
 
 class _EmuKernel:
@@ -61,6 +61,7 @@ def _emu_kernel(arch, family):
 GEMM_SHAPES = [(1, 1, 1), (2, 3, 5), (5, 3, 2), (13, 7, 9)]
 
 
+@needs_cc
 def test_gemm_driver_edge_shapes(any_arch, rng):
     driver = GemmDriver(_emu_kernel(any_arch, "gemm"))
     for m, n, k in GEMM_SHAPES:
@@ -72,6 +73,7 @@ def test_gemm_driver_edge_shapes(any_arch, rng):
         assert np.allclose(driver(a, b), a @ b), (m, n, k)
 
 
+@needs_cc
 def test_gemm_driver_zero_k(any_arch, rng):
     driver = GemmDriver(_emu_kernel(any_arch, "gemm"))
     c = rng.standard_normal((3, 4))

@@ -1,0 +1,251 @@
+"""The native GEBP loop: its packing against the numpy layout spec,
+strided operands read in place, and errors raised inside its callbacks.
+
+A recording kernel, reached through the driver's ctypes trampoline,
+sees every packed A block and B panel the C loop hands the micro-kernel;
+each must equal :mod:`repro.blas.packing`'s packer on the same block,
+bit for bit.
+"""
+
+from __future__ import annotations
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from repro.backend.compiler import ToolchainError, build_shared
+from repro.backend.faults import (FaultPlan, InjectedWorkerFault,
+                                  clear_fault_plan, install_fault_plan)
+from repro.blas import dispatch, gebp
+from repro.blas import gemm as gemm_module
+from repro.blas.api import AugemBLAS
+from repro.blas.gemm import BlockSizes, GemmDriver
+from repro.blas.guard import BlasArgumentError
+from repro.blas.packing import pack_a, pack_b_dup, pack_b_shuf
+from tests.conftest import needs_cc
+
+pytestmark = needs_cc
+
+BLOCKS = BlockSizes(mc=8, kc=8, nc=8)
+MU, NU, KU = 4, 2, 2
+
+
+class _RecordingKernel:
+    """A numpy micro-kernel that keeps a copy of every panel it gets."""
+
+    generated = SimpleNamespace(config=SimpleNamespace(
+        unroll_jam=(("i", MU), ("j", NU)), unroll=(("l", KU),)))
+
+    def __init__(self, layout: str) -> None:
+        self.layout = layout
+        self.calls = []
+
+    def __call__(self, mc, nc, kc, a, b, c, ldc):
+        self.calls.append((mc, nc, kc, a.copy(), b.copy()))
+        am = a.reshape(kc, mc)
+        bm = b.reshape(nc, kc) if self.layout == "dup" else \
+            b.reshape(kc, nc).T
+        c.reshape(nc, ldc)[:, :mc] += bm @ am
+
+
+def _round_up(x, mult):
+    return -(-x // mult) * mult
+
+
+def _expected_calls(a, b, alpha, layout):
+    """The driver's tile order over its swapped operands, packed by
+    :mod:`repro.blas.packing`."""
+    pack_b = pack_b_dup if layout == "dup" else pack_b_shuf
+    a, b = b.T, a.T
+    (m, k), n = a.shape, b.shape[1]
+    mc = _round_up(min(BLOCKS.mc, m), MU)
+    nc = _round_up(min(BLOCKS.nc, n), NU)
+    kc = _round_up(min(BLOCKS.kc, k), KU)
+    for j0 in range(0, n, nc):
+        jn = min(nc, n - j0)
+        for i0 in range(0, m, mc):
+            im = min(mc, m - i0)
+            for l0 in range(0, k, kc):
+                ln = min(kc, k - l0)
+                im_pad, jn_pad, ln_pad = (_round_up(im, MU),
+                                          _round_up(jn, NU),
+                                          _round_up(ln, KU))
+                yield (im_pad, jn_pad, ln_pad,
+                       pack_a(a[i0:i0 + im, l0:l0 + ln], im_pad, ln_pad,
+                              alpha=alpha),
+                       pack_b(b[l0:l0 + ln, j0:j0 + jn], ln_pad, jn_pad))
+
+
+def _operands(kind, m, n, k, rng):
+    """(a, b) of shapes (m, k) and (k, n) in one memory layout."""
+    if kind == "C":
+        return rng.standard_normal((m, k)), rng.standard_normal((k, n))
+    if kind == "F":
+        return (np.asfortranarray(rng.standard_normal((m, k))),
+                np.asfortranarray(rng.standard_normal((k, n))))
+    if kind == "transposed":
+        return rng.standard_normal((k, m)).T, rng.standard_normal((n, k)).T
+    if kind == "negative":
+        return (rng.standard_normal((m, k))[::-1, ::-1],
+                rng.standard_normal((k, n))[::-1])
+    if kind == "zero_stride":
+        return (np.broadcast_to(rng.standard_normal(k), (m, k)),
+                np.broadcast_to(rng.standard_normal((k, 1)), (k, n)))
+    assert kind == "sliced"
+    return (rng.standard_normal((2 * m + 1, k + 3))[1::2, 3:],
+            rng.standard_normal((k + 2, 3 * n))[2:, ::3])
+
+
+@pytest.mark.parametrize("layout", ["dup", "shuf"])
+@pytest.mark.parametrize("alpha", [1.0, -1.0, 0.5])
+@pytest.mark.parametrize("kind", ["C", "F", "transposed", "negative",
+                                  "zero_stride", "sliced"])
+def test_native_packing_matches_the_numpy_packers(kind, alpha, layout, rng):
+    for m, n, k in [(13, 11, 21), (1, 1, 1), (8, 8, 8), (17, 3, 5)]:
+        a, b = _operands(kind, m, n, k, rng)
+        kernel = _RecordingKernel(layout)
+        driver = GemmDriver(kernel, layout=layout, blocks=BLOCKS, threads=1)
+        got = driver(a, b, alpha=alpha)
+        assert np.allclose(got, alpha * (a @ b)), (kind, m, n, k)
+        expected = list(_expected_calls(a, b, alpha, layout))
+        assert len(kernel.calls) == len(expected)
+        for call, want in zip(kernel.calls, expected):
+            assert call[:3] == want[:3]
+            assert call[3].tobytes() == want[3].tobytes(), "A panel"
+            assert call[4].tobytes() == want[4].tobytes(), "B panel"
+        assert driver.pack_pool.outstanding == 0
+
+
+def test_worker_die_raises_before_the_native_call():
+    kernel = _RecordingKernel("dup")
+    driver = GemmDriver(kernel, blocks=BLOCKS, threads=1)
+    install_fault_plan(FaultPlan.parse("worker_die@#2"))
+    try:
+        with pytest.raises(InjectedWorkerFault, match="#2"):
+            driver(np.ones((24, 8)), np.ones((8, 24)))
+    finally:
+        clear_fault_plan()
+    assert kernel.calls == []
+    assert driver.pack_pool.outstanding == 0
+
+
+# -- exceptions inside ctypes callbacks --------------------------------------
+
+
+class _Boom(RuntimeError):
+    pass
+
+
+def test_kernel_exception_is_reraised_after_the_call(rng):
+    class Failing(_RecordingKernel):
+        def __call__(self, *args):
+            super().__call__(*args)
+            if len(self.calls) == 3:
+                raise _Boom("third kernel call")
+
+    kernel = Failing("dup")
+    driver = GemmDriver(kernel, blocks=BLOCKS, threads=2)
+    with pytest.raises(_Boom, match="third"):
+        driver(rng.standard_normal((20, 20)), rng.standard_normal((20, 20)))
+    assert driver.pack_pool.outstanding == 0
+
+
+def test_hook_exception_is_reraised_after_the_call(rng, monkeypatch):
+    def broken(*args, **kwargs):
+        raise _Boom("checksum failed to run")
+
+    monkeypatch.setattr(gemm_module, "verify_gemm_tile", broken)
+    kernel = _RecordingKernel("dup")
+    driver = GemmDriver(kernel, blocks=BLOCKS, threads=1, integrity="full")
+    with pytest.raises(_Boom, match="checksum"):
+        driver(rng.standard_normal((20, 20)), rng.standard_normal((20, 20)))
+    # the hook stopped the loop at the first tile
+    assert len(kernel.calls) == 3
+    assert driver.pack_pool.outstanding == 0
+
+
+# -- the build ----------------------------------------------------------------
+
+
+def test_gebp_source_compiles_without_warnings():
+    build_shared({"gebp.c": gebp.GEBP_C}, tag="gebp_warnings",
+                 extra_flags=["-Wall", "-Wextra", "-Werror"])
+
+
+def test_failed_build_raises_and_is_retried(monkeypatch):
+    def no_compiler(*args, **kwargs):
+        raise ToolchainError("injected: no compiler")
+
+    monkeypatch.setattr(gebp, "_BUILD", None)
+    monkeypatch.setattr(gebp, "build_shared", no_compiler)
+    with pytest.raises(ToolchainError, match="injected"):
+        gebp.gebp_function()
+    assert gebp._BUILD is None  # the next driver build tries again
+
+
+def test_build_failure_demotes_gemm_down_the_chain(monkeypatch, rng):
+    def no_compiler():
+        raise ToolchainError("injected: no compiler")
+
+    monkeypatch.setattr(gemm_module, "gebp_function", no_compiler)
+    dispatch.reset_dispatch_state()
+    try:
+        blas = AugemBLAS()
+        a, b = rng.standard_normal((9, 7)), rng.standard_normal((7, 5))
+        assert np.allclose(blas.dgemm(a, b), a @ b)
+        assert blas.dispatch_report()["gemm"].tier == "reference"
+    finally:
+        dispatch.reset_dispatch_state()
+
+
+# -- dgemm reads strided operands in place ------------------------------------
+
+
+STRIDED = {
+    "F": np.asfortranarray,
+    "transposed": lambda x: np.ascontiguousarray(x.T).T,
+    "negative": lambda x: np.ascontiguousarray(x[::-1, ::-1])[::-1, ::-1],
+}
+
+
+@pytest.fixture(scope="module")
+def blas():
+    return AugemBLAS()
+
+
+@pytest.mark.parametrize("kind", sorted(STRIDED))
+def test_strided_dgemm_is_bit_equal_to_contiguous(blas, kind, rng):
+    layout = STRIDED[kind]
+    for m, n, k in [(37, 29, 41), (130, 70, 300), (1, 5, 3)]:
+        a = rng.standard_normal((m, k))
+        b = rng.standard_normal((k, n))
+        c = rng.standard_normal((m, n))
+        want = blas.dgemm(a, b, c, alpha=-0.5, beta=1.5)
+        before = blas.guard.stats.coercions
+        got = blas.dgemm(layout(a), layout(b), layout(c), alpha=-0.5,
+                         beta=1.5)
+        assert blas.guard.stats.coercions == before, "strided copy made"
+        assert got.tobytes() == want.tobytes(), (kind, m, n, k)
+
+
+def test_int_operands_are_still_cast_and_counted(blas):
+    a = np.arange(12, dtype=np.int64).reshape(3, 4)
+    b = np.arange(8, dtype=np.int64).reshape(4, 2)
+    before = blas.guard.stats.coercions
+    got = blas.dgemm(a, np.asfortranarray(b))
+    assert blas.guard.stats.coercions == before + 2
+    assert np.array_equal(got, (a @ b).astype(np.float64))
+
+
+def test_nan_in_a_strided_operand_is_rejected(rng):
+    strict = AugemBLAS(nan_policy="raise")
+    a = np.asfortranarray(rng.standard_normal((6, 5)))
+    b = rng.standard_normal((4, 5)).T
+    a[3, 2] = np.nan
+    with pytest.raises(BlasArgumentError, match="'a'"):
+        strict.dgemm(a, b)
+    a[3, 2] = 0.0
+    b[1, 3] = np.inf
+    with pytest.raises(BlasArgumentError, match="'b'"):
+        strict.dgemm(a, b)

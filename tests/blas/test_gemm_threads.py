@@ -38,6 +38,7 @@ from repro.blas.threading import (PackBufferPool, PoolAliasError, WorkerPool,
 from repro.core.framework import Augem
 from repro.emu.run import call_items
 from repro.isa.arch import GENERIC_SSE
+from tests.conftest import needs_cc
 
 TINY_BLOCKS = BlockSizes(mc=8, kc=8, nc=8)
 
@@ -90,6 +91,7 @@ def _no_leftover_fault_plan():
 # -- determinism across thread counts (emulated; both layouts) --------------
 
 
+@needs_cc
 @pytest.mark.parametrize("layout,family",
                          [("dup", "gemm"), ("shuf", "gemm_shuf")])
 def test_threaded_result_bit_identical(layout, family, rng):
@@ -110,6 +112,7 @@ def test_threaded_result_bit_identical(layout, family, rng):
             assert driver.pack_pool.outstanding == 0
 
 
+@needs_cc
 def test_per_call_thread_override_stays_bit_identical(rng):
     driver = GemmDriver(_emu_kernel("gemm"), blocks=TINY_BLOCKS, threads=1)
     a = rng.standard_normal((19, 11))
@@ -119,6 +122,7 @@ def test_per_call_thread_override_stays_bit_identical(rng):
         assert np.asarray(driver(a, b, threads=threads)).tobytes() == base
 
 
+@needs_cc
 def test_env_threads_do_not_change_results(rng, monkeypatch):
     a = rng.standard_normal((17, 13))
     b = rng.standard_normal((13, 9))
@@ -134,6 +138,7 @@ def test_env_threads_do_not_change_results(rng, monkeypatch):
 # -- race stress: one shared driver, many caller threads --------------------
 
 
+@needs_cc
 @given(shapes=st.lists(
     st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(1, 24)),
     min_size=1, max_size=3))
@@ -171,6 +176,7 @@ def test_race_stress_shared_driver(shapes):
 # -- pool reuse: hits grow, allocations plateau -----------------------------
 
 
+@needs_cc
 def test_pack_pool_buffers_reused_across_calls(rng):
     driver = GemmDriver(_PyKernel(), blocks=TINY_BLOCKS, threads=1)
     a = rng.standard_normal((32, 32))
@@ -223,6 +229,7 @@ def test_pack_pool_bounds_free_list():
 # -- worker_die fault injection ---------------------------------------------
 
 
+@needs_cc
 @pytest.mark.parametrize("threads", [1, 2, 4])
 def test_worker_die_fails_whole_call_cleanly(threads, rng):
     driver = GemmDriver(_PyKernel(), blocks=TINY_BLOCKS, threads=threads)
@@ -244,6 +251,7 @@ def test_worker_die_fails_whole_call_cleanly(threads, rng):
     assert got.tobytes() == expect
 
 
+@needs_cc
 def test_worker_die_matches_by_family_tag(rng):
     driver = GemmDriver(_PyKernel(), blocks=TINY_BLOCKS, threads=2)
     a = rng.standard_normal((9, 9))
@@ -256,6 +264,7 @@ def test_worker_die_matches_by_family_tag(rng):
     assert driver.pack_pool.outstanding == 0
 
 
+@needs_cc
 def test_worker_die_deterministic_lowest_index_wins(rng):
     # two tiles fault concurrently; the raised error must be the
     # lowest-indexed one regardless of scheduling
@@ -269,6 +278,7 @@ def test_worker_die_deterministic_lowest_index_wins(rng):
         assert driver.pack_pool.outstanding == 0
 
 
+@needs_cc
 def test_fault_plan_is_resolved_once_per_call(rng, monkeypatch):
     # $REPRO_FAULT_INJECT is read when the call starts, not per macro-tile
     from repro.blas import gemm as gemm_module
@@ -292,6 +302,7 @@ def test_fault_plan_is_resolved_once_per_call(rng, monkeypatch):
 # -- alpha folding: no scaled A copy per tile -------------------------------
 
 
+@needs_cc
 def test_alpha_fold_allocates_no_extra_temporaries(rng):
     driver = GemmDriver(_PyKernel(),
                         blocks=BlockSizes(mc=48, kc=48, nc=48), threads=1)
@@ -320,6 +331,7 @@ def test_alpha_fold_allocates_no_extra_temporaries(rng):
 # -- C written in place: one full-size array per call ------------------------
 
 
+@needs_cc
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("with_c", [False, True])
 def test_result_is_c_contiguous_owned_and_never_aliases_c(with_c, order, rng):
@@ -344,6 +356,7 @@ def test_result_is_c_contiguous_owned_and_never_aliases_c(with_c, order, rng):
         assert got.tobytes() == base, threads
 
 
+@needs_cc
 def test_accumulate_allocates_one_result_array(rng):
     m, n, k = 512, 512, 256
     driver = GemmDriver(_PyKernel(), threads=1)

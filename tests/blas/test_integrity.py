@@ -144,6 +144,7 @@ def test_corrupt_tile_flip_is_silent_and_finite():
 # -- clean driver: verification is invisible --------------------------------
 
 
+@needs_cc
 @pytest.mark.parametrize("threads", [1, 2, 4])
 def test_clean_emulated_gemm_no_false_positives(threads, rng):
     driver = emulated_gemm_driver(threads=threads)
@@ -160,6 +161,23 @@ def test_clean_emulated_gemm_no_false_positives(threads, rng):
     assert not strike_counts()
 
 
+@needs_cc
+def test_sampled_check_is_not_spent_on_a_no_op_call(rng):
+    # a k=0 call runs no tile: it must neither read as checked nor use
+    # up the 1-in-2 slot that the next real call is owed
+    checker = IntegrityChecker(mode="sample", sample_period=2)
+    driver = emulated_gemm_driver(threads=1, integrity=checker)
+    empty = IntegrityReport()
+    driver(np.ones((5, 0)), np.ones((0, 4)), integrity_report=empty)
+    real = IntegrityReport()
+    driver(rng.standard_normal((9, 7)), rng.standard_normal((7, 6)),
+           integrity_report=real)
+    assert empty.mode == "sample" and not empty.checked
+    assert empty.tiles_checked == 0
+    assert real.checked and real.tiles_checked > 0
+
+
+@needs_cc
 def test_integrity_off_skips_checks(rng):
     driver = emulated_gemm_driver(threads=1, integrity="off")
     report = IntegrityReport()
@@ -173,6 +191,7 @@ def test_integrity_off_skips_checks(rng):
 # -- containment ladder under injected corruption ----------------------------
 
 
+@needs_cc
 @pytest.mark.parametrize("threads", [1, 2])
 def test_transient_corruption_heals_on_retry(threads, rng):
     install_fault_plan(FaultPlan.parse("corrupt@#0:1"))
@@ -188,6 +207,7 @@ def test_transient_corruption_heals_on_retry(threads, rng):
     assert not strike_counts()                # no corruption verdict
 
 
+@needs_cc
 @pytest.mark.parametrize("threads", [1, 2])
 def test_persistent_corruption_contained_by_reference(threads, rng):
     install_fault_plan(FaultPlan.parse("corrupt@#0"))
@@ -204,6 +224,7 @@ def test_persistent_corruption_contained_by_reference(threads, rng):
     assert list(strike_counts().values()) == [1]
 
 
+@needs_cc
 def test_corruption_without_integrity_goes_unnoticed(rng):
     # negative control: the fault model corrupts silently, so with
     # verification off the wrong bits reach the caller
@@ -235,6 +256,7 @@ def test_corruption_contained_through_dsyrk(monkeypatch, rng):
 # -- strikes -> quarantine -> demotion ---------------------------------------
 
 
+@needs_cc
 def test_strikes_quarantine_and_demote(tmp_path, monkeypatch, rng):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
     reset_cache()
@@ -472,6 +494,7 @@ def test_dger_advances_the_sample_counter_by_exactly_one(rng):
     assert inner.calls == 8
 
 
+@needs_cc
 def test_wrap_driver_skips_reference_and_gemm():
     checker = IntegrityChecker(mode="full")
     from repro.blas import reference as ref

@@ -64,7 +64,8 @@ BACKENDS = [
     pytest.param("native", marks=pytest.mark.skipif(
         not HAVE_CC, reason="no C compiler available")),
     "reference",
-    "emulated",
+    pytest.param("emulated", marks=pytest.mark.skipif(
+        not HAVE_CC, reason="no C compiler available")),
 ]
 
 SCALARS = st.sampled_from([0.0, 1.0, -1.0, 0.5])

@@ -8,8 +8,9 @@ demotes its tier; and a drain persists the demotion so a restarted
 worker starts on the safe tier.
 
 The worker runs in-thread (like ``test_server.py``) with the gemm route
-pinned to the emulator-backed driver, so no toolchain is needed and the
-corrupt fault fires inside real pool worker threads.
+pinned to the emulator-backed driver, so no kernel is assembled (the
+GEBP loop around it is compiled C) and the corrupt fault fires inside
+real pool worker threads.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from repro.serve.protocol import (ERR_BAD_REQUEST, PROTOCOL_VERSION,
 from repro.serve.server import ServeConfig, ServeWorker
 from repro.serve.shm import SegmentSet
 from repro.serve.supervisor import rpc
+from tests.conftest import needs_cc
 
 
 @pytest.fixture
@@ -96,6 +98,7 @@ def test_charged_bytes_surcharge():
     assert charged_bytes(800, "sample") == 900
 
 
+@needs_cc
 def test_bad_integrity_mode_is_rejected(serve_env, rng):
     _worker, config, _gemm = serve_env
     a = rng.standard_normal((4, 4))
@@ -103,6 +106,7 @@ def test_bad_integrity_mode_is_rejected(serve_env, rng):
     assert reply["error"]["code"] == ERR_BAD_REQUEST
 
 
+@needs_cc
 def test_clean_full_verification_reports_zero_mismatches(serve_env, rng):
     _worker, config, _gemm = serve_env
     a = rng.standard_normal((12, 8))
@@ -116,6 +120,7 @@ def test_clean_full_verification_reports_zero_mismatches(serve_env, rng):
     assert verdict["mismatches"] == 0
 
 
+@needs_cc
 def test_unflagged_request_carries_no_verdict(serve_env, rng):
     _worker, config, _gemm = serve_env
     a = rng.standard_normal((8, 8))
@@ -125,6 +130,7 @@ def test_unflagged_request_carries_no_verdict(serve_env, rng):
     assert np.allclose(result, a @ a)
 
 
+@needs_cc
 def test_corrupt_worker_contained_quarantined_and_persisted(serve_env, rng):
     worker, config, gemm = serve_env
     install_fault_plan(FaultPlan.parse("corrupt@#0"))
@@ -166,6 +172,7 @@ def test_corrupt_worker_contained_quarantined_and_persisted(serve_env, rng):
     assert "integrity" in reason
 
 
+@needs_cc
 def test_status_reports_integrity_mode(serve_env):
     _worker, config, _gemm = serve_env
     status = rpc(config.socket_path,
