@@ -267,12 +267,16 @@ class _GebpCall:
         self.check, self.report = check, report
         # one pooled workspace per native call: the A block, every Kc
         # panel of one B column, and the tile the kernel accumulates
-        # into, each starting on a 64-byte boundary
+        # into, each starting on a 64-byte boundary.  Its size is rounded
+        # up to a power of two so that calls of different shapes reuse
+        # one cache-hot buffer: on a stream of ragged shapes, a buffer
+        # per exact size is cold at every call and the packing runs at
+        # memory latency (measured: a quarter of the ragged pass)
         self.b_at = _round_up(mc * kc, 8)
         self.c_at = self.b_at + sum(
             _round_up(_round_up(min(kc, k - l0), driver.ku) * nc, 8)
             for l0 in range(0, k, kc))
-        self.workspace = self.c_at + mc * nc
+        self.workspace = 1 << (self.c_at + mc * nc - 1).bit_length()
         self.plan = get_fault_plan()  # one env lookup per call, not per tile
 
     # -- scheduling ----------------------------------------------------------
