@@ -42,7 +42,10 @@ typedef void (*gebp_kernel)(long, long, long, double *, double *, double *,
                             long);
 typedef int (*gebp_hook)(long);
 
-static long round_up(long x, long mult) { return (x + mult - 1) / mult * mult; }
+static long round_up(long x, long mult)
+{
+    return (x + mult - 1) / mult * mult;
+}
 
 /* dst[r*ld + c] = scale * src[r*rs + c*cs] for r < rows, c < cols; zero
    for the padding up to (rows_pad, cols_pad).  The loop order follows
@@ -147,6 +150,7 @@ _ARGTYPES = [_P, ctypes.c_int, _P, _L, _L,   # kernel, shuf, tiles, range
              _P, _L, _L,                      # out with strides
              _L, _L, _L, _D,                  # k, kc, ku, alpha
              _P, _P, _P, _P]                  # buffers, hook
+
 
 class _Build(threading.Thread):
     """The one background build of ``augem_gebp``."""

@@ -360,7 +360,7 @@ class _GebpCall:
         if errors:
             raise errors[0]
 
-    # -- ABFT ------------------------------------------------------------------
+    # -- ABFT ----------------------------------------------------------------
 
     def note(self, field: str, n: int = 1) -> None:
         _ISTATS.add(field, n)
