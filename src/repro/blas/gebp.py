@@ -1,14 +1,26 @@
 """Native GEBP: the C macro loop around the generated micro-kernel.
 
 Goto's GEBP (paper §4.1) as one C entry point, ``augem_gebp``.  It runs
-a contiguous range of the driver's macro-tile list: for every tile it
+a contiguous range of the driver's macro-tile list in Goto's loop order,
+column -> Kc slice -> A block: for every column of the range it
 
-1. packs the B panels of the tile's column once per column (``dup``:
-   ``B[j*Kc + l]``, ``shuf``: ``B[l*Nc + j]``),
-2. packs each A block with ``alpha`` folded in (``A[l*Mc + i]``),
-3. calls the micro-kernel through a function pointer on every Kc slice,
-   accumulating into a zeroed tile buffer, and
-4. adds the finished tile into its block of the destination.
+1. packs the column's B panels once (``dup``: ``B[j*Kc + l]``,
+   ``shuf``: ``B[l*Nc + j]``), then, for each Kc slice in ascending
+   order, so that one slice of B serves every tile of the column,
+2. packs each tile's A block with ``alpha`` folded in
+   (``A[l*Mc + i]``), and
+3. calls the micro-kernel through a function pointer.  A whole tile of
+   a native kernel accumulates straight into its block of the
+   destination (``ldc`` is the destination's row stride); an edge tile,
+   or any tile of a kernel reached through the driver's Python
+   trampoline, goes through a zeroed scratch tile whose ``im x jn``
+   corner is added into the destination.
+
+Either way every element is ``((beta*C + r1) + r2) + ...`` over its Kc
+slices in ascending order: the kernel's accumulators start at ``+0.0``,
+so adding a slice's result to a zeroed scratch tile changes no bit of
+it, and results do not depend on which tiles are whole, hence not on
+the thread count.
 
 Operands are read and the destination written through their (row,
 column) element strides, so F-ordered, transposed, negative-stride and
@@ -16,8 +28,13 @@ broadcast operands need no copy.  The layouts and the zero padding are
 exactly those of :mod:`repro.blas.packing`, which stays the layout
 specification and the test oracle.
 
-An optional per-tile hook runs between steps 3 and 4 (the driver's
-fault injection and ABFT ladder); a nonzero return stops the loop.
+With a per-tile hook (the driver's fault injection and ABFT ladder)
+the loop runs one tile at a time instead, tile -> Kc slice: the tile's
+whole product is built in the zeroed scratch tile, the hook sees it,
+and it is added once.  A checked element is therefore
+``beta*C + ((r1 + r2) + ...)``, which can differ from the unchecked sum
+in the last place when k > Kc.  A nonzero return from the hook stops
+the loop.
 
 The source is built once per process with plain ``-O2`` — no
 ``-march``, no fast-math, so every multiply and add is the same IEEE
@@ -80,10 +97,29 @@ static void pack(double *dst, long ld, const double *src, long rs, long cs,
         memset(dst + r * ld, 0, (size_t)cols_pad * sizeof(double));
 }
 
+/* out[j*os0 + i*os1] += c[j*ldc + i] for i < im, j < jn */
+static void add_tile(double *out, long os0, long os1, const double *c,
+                     long ldc, long im, long jn)
+{
+    for (long j = 0; j < jn; j++) {
+        double *dst = out + j * os0;
+        const double *src = c + j * ldc;
+        for (long i = 0; i < im; i++) dst[i * os1] += src[i];
+    }
+}
+
 /* tiles[6*t ...] = (j0, jn, jn_pad, i0, im, im_pad) of C^T = a @ b, where
    a is m x k and b is k x n; out is indexed [j, i].  b_buf holds every
-   Kc panel of one column, each starting on a 64-byte boundary. */
-int augem_gebp(gebp_kernel kernel, int shuf, const long *tiles,
+   Kc panel of one column, each starting on a 64-byte boundary.
+
+   The range runs in groups: the run of tiles that share a column, or,
+   with a hook, one tile.  A group's column is packed once, then each Kc
+   slice in ascending order serves every tile of the group.  A hooked
+   tile builds its whole product in c_buf for the hook and is added
+   once; otherwise a whole tile of a native kernel (direct) accumulates
+   each slice straight into out, and any other tile goes through c_buf
+   once per slice. */
+int augem_gebp(gebp_kernel kernel, int shuf, int direct, const long *tiles,
                long first, long count,
                const double *a, long as0, long as1,
                const double *b, long bs0, long bs1,
@@ -91,14 +127,15 @@ int augem_gebp(gebp_kernel kernel, int shuf, const long *tiles,
                long k, long kc, long ku, double alpha,
                double *a_buf, double *b_buf, double *c_buf, gebp_hook hook)
 {
-    long packed_j0 = -1;
-    for (long t = first; t < first + count; t++) {
+    long packed_j0 = -1, t = first, stop = first + count;
+    while (t < stop) {
         const long *tile = tiles + 6 * t;
         long j0 = tile[0], jn = tile[1], jn_pad = tile[2];
-        long i0 = tile[3], im = tile[4], im_pad = tile[5];
+        long end = t + 1, l0;
         double *panel;
-        long l0;
 
+        if (!hook)
+            while (end < stop && tiles[6 * end] == j0) end++;
         if (j0 != packed_j0) {
             panel = b_buf;
             for (l0 = 0; l0 < k; l0 += kc) {
@@ -115,23 +152,41 @@ int augem_gebp(gebp_kernel kernel, int shuf, const long *tiles,
             packed_j0 = j0;
         }
 
-        memset(c_buf, 0, (size_t)(im_pad * jn_pad) * sizeof(double));
+        if (hook)
+            memset(c_buf, 0, (size_t)(tile[5] * jn_pad) * sizeof(double));
         panel = b_buf;
         for (l0 = 0; l0 < k; l0 += kc) {
             long ln = k - l0 < kc ? k - l0 : kc, ln_pad = round_up(ln, ku);
-            pack(a_buf, im_pad, a + i0 * as0 + l0 * as1, as1, as0, ln, im,
-                 ln_pad, im_pad, alpha);
-            kernel(im_pad, jn_pad, ln_pad, a_buf, panel, c_buf, im_pad);
+            for (long u = t; u < end; u++) {
+                long i0 = tiles[6 * u + 3], im = tiles[6 * u + 4],
+                     im_pad = tiles[6 * u + 5];
+                double *dst = out + j0 * os0 + i0 * os1;
+                pack(a_buf, im_pad, a + i0 * as0 + l0 * as1, as1, as0, ln, im,
+                     ln_pad, im_pad, alpha);
+                if (hook) {
+                    kernel(im_pad, jn_pad, ln_pad, a_buf, panel, c_buf,
+                           im_pad);
+                } else if (direct && os1 == 1 && im == im_pad
+                           && jn == jn_pad) {
+                    kernel(im_pad, jn_pad, ln_pad, a_buf, panel, dst, os0);
+                } else {
+                    memset(c_buf, 0,
+                           (size_t)(im_pad * jn_pad) * sizeof(double));
+                    kernel(im_pad, jn_pad, ln_pad, a_buf, panel, c_buf,
+                           im_pad);
+                    add_tile(dst, os0, os1, c_buf, im_pad, im, jn);
+                }
+            }
             panel += round_up(ln_pad * jn_pad, 8);
         }
 
-        if (hook && hook(t))
-            return 1;
-        for (long j = 0; j < jn; j++) {
-            double *dst = out + (j0 + j) * os0 + i0 * os1;
-            const double *src = c_buf + j * im_pad;
-            for (long i = 0; i < im; i++) dst[i * os1] += src[i];
+        if (hook) {
+            if (hook(t))
+                return 1;
+            add_tile(out + j0 * os0 + tile[3] * os1, os0, os1, c_buf, tile[5],
+                     tile[4], jn);
         }
+        t = end;
     }
     return 0;
 }
@@ -145,7 +200,8 @@ KERNEL_FN = ctypes.CFUNCTYPE(None, ctypes.c_long, ctypes.c_long,
 HOOK_FN = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_long)
 
 _L, _P, _D = ctypes.c_long, ctypes.c_void_p, ctypes.c_double
-_ARGTYPES = [_P, ctypes.c_int, _P, _L, _L,   # kernel, shuf, tiles, range
+_ARGTYPES = [_P, ctypes.c_int, ctypes.c_int,  # kernel, shuf, direct
+             _P, _L, _L,                      # tiles, range
              _P, _L, _L, _P, _L, _L,          # a, b with strides
              _P, _L, _L,                      # out with strides
              _L, _L, _L, _D,                  # k, kc, ku, alpha

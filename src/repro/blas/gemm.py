@@ -16,26 +16,32 @@ Python plans the call; C runs it.  The driver:
 3. splits that list into one contiguous range per thread and runs each
    range in one call of the native GEBP loop (:mod:`repro.blas.gebp`) on
    buffers lent by a :class:`~repro.blas.threading.PackBufferPool`.  The
-   loop packs the B panels of each column it covers once, packs each A
-   block with alpha folded in, calls the micro-kernel, and adds each
-   finished tile into its block of the result.  It reads the operands
-   through their strides, so F-ordered, transposed and sliced inputs are
-   never copied.  With more than one thread the ranges run on the
-   persistent :class:`~repro.blas.threading.WorkerPool`; the native call
-   releases the GIL.
+   loop runs in Goto's order: it packs the B panels of each column it
+   covers once, and for each Kc slice packs every tile's A block with
+   alpha folded in and calls the micro-kernel, which accumulates a whole
+   tile straight into the result (edge tiles go through a scratch tile
+   and are added).  It reads the operands through their strides, so
+   F-ordered, transposed and sliced inputs are never copied.  With more
+   than one thread the ranges run on the persistent
+   :class:`~repro.blas.threading.WorkerPool`; the native call releases
+   the GIL.
 
 Parallel execution is **bit-identical** to single-threaded execution at
 any thread count: each (jc, ic) macro-tile is computed by exactly one
-native call, its kc-slices run in ascending order on a zeroed tile
-buffer, and tiles land in disjoint blocks of the result — so no
-floating-point operation ever reorders, whatever the scheduling.  A
-column split across two ranges has its B panels packed by both.
+native call, every element of an unchecked call is
+``((beta*C + r1) + r2) + ...`` over its Kc slices in ascending order
+whether its tile is whole or an edge (see :mod:`repro.blas.gebp`), and
+tiles land in disjoint blocks of the result — so no floating-point
+operation ever reorders, whatever the scheduling.  A column split across
+two ranges has its B panels packed by both.
 
 Python keeps the decisions around the loop: the fault plan
 (``worker_die`` raises before the native call covering the tile;
 ``corrupt`` flips the tile's bits through a per-tile hook) and the ABFT
 ladder of :mod:`repro.blas.integrity`, which the same hook runs on the
-finished tile before the loop adds it.
+finished tile before the loop adds it.  A hooked range builds each
+tile's whole product before adding it once, so at k > Kc a checked
+call can differ from an unchecked one in the last place.
 
 ``alpha`` scales the packed A block; ``beta`` pre-scales C — the kernel
 itself computes pure ``C += A*B`` exactly as in paper Fig. 12.  The
@@ -91,8 +97,11 @@ def _round_up(x: int, mult: int) -> int:
 
 @dataclass
 class BlockSizes:
-    """Cache-blocking parameters (paper Table 5 guides the defaults;
-    empirically re-tuned for the Python-driver overhead profile)."""
+    """Cache-blocking parameters (paper Table 5 guides the defaults).
+
+    ``kc`` x ``nc`` is the B panel one column's tiles share in L2; the
+    driver rounds ``mc`` up to a multiple of the kernel's ``mu`` and
+    ``nc`` to one of ``nu`` (144 x 512 at the zmm 24 x 4 tile)."""
 
     mc: int = 128
     kc: int = 256
@@ -350,10 +359,13 @@ class _GebpCall:
             c_hook = None if hook is None else \
                 _hook(hook, ws[self.c_at:], errors)
             base = ws.ctypes.data
-            driver._gebp(kernel, driver.layout == "shuf", table.ctypes.data,
-                         first, count, *_operand(a), *_operand(b),
-                         *_operand(out), self.k, self.kc, driver.ku,
-                         self.alpha, base, base + 8 * self.b_at,
+            # only a native kernel may write into ``out`` directly: the
+            # trampoline would hand Python a view spanning other tiles
+            driver._gebp(kernel, driver.layout == "shuf",
+                         driver._kernel_address is not None,
+                         table.ctypes.data, first, count, *_operand(a),
+                         *_operand(b), *_operand(out), self.k, self.kc,
+                         driver.ku, self.alpha, base, base + 8 * self.b_at,
                          base + 8 * self.c_at, c_hook)
         finally:
             pool.release(ws)

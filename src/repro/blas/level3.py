@@ -50,8 +50,14 @@ class _NumpyTri:
 class Level3:
     """SYMM / SYRK / SYR2K / TRMM / TRSM on top of one GEMM driver."""
 
-    #: panel width: the driver's Mc, so that after its operand swap a
-    #: column panel of the triangle is one macro-tile per Kc slice
+    #: panel width: the driver's unrounded Mc, so that after its operand
+    #: swap a column panel of the triangle is one macro-tile per Kc
+    #: slice.  The driver rounds Mc up to a multiple of its kernel's mu
+    #: (144 at the zmm 24x4 tile), so there each 128-wide panel is one
+    #: tile padded by 16 zero rows: the kernel issues 12.5% more flops
+    #: than the panel needs (ROADMAP items 2 and 7).  A 144-wide panel
+    #: measured mixed (SYRK/SYR2K faster, TRMM/TRSM slower), so the
+    #: width stays
     panel = BlockSizes().mc
 
     def __init__(self, gemm: GemmDriver) -> None:

@@ -1,5 +1,7 @@
-"""The native GEBP loop: its packing against the numpy layout spec,
-strided operands read in place, and errors raised inside its callbacks.
+"""The native GEBP loop: its packing and loop order against the numpy
+layout spec, strided operands read in place, native kernels accumulating
+whole tiles straight into the result, and errors raised inside its
+callbacks.
 
 A recording kernel, reached through the driver's ctypes trampoline,
 sees every packed A block and B panel the C loop hands the micro-kernel;
@@ -42,6 +44,9 @@ class _RecordingKernel:
         self.calls = []
 
     def __call__(self, mc, nc, kc, a, b, c, ldc):
+        # a trampoline kernel always writes a scratch tile, never a view
+        # into the result that spans other tiles' blocks
+        assert ldc == mc, "non-native kernel handed the result"
         self.calls.append((mc, nc, kc, a.copy(), b.copy()))
         am = a.reshape(kc, mc)
         bm = b.reshape(nc, kc) if self.layout == "dup" else \
@@ -53,28 +58,30 @@ def _round_up(x, mult):
     return -(-x // mult) * mult
 
 
-def _expected_calls(a, b, alpha, layout):
-    """The driver's tile order over its swapped operands, packed by
-    :mod:`repro.blas.packing`."""
+def _expected_calls(a, b, alpha, layout, hooked=False):
+    """The driver's kernel calls over its swapped operands, packed by
+    :mod:`repro.blas.packing`: column -> Kc slice -> tile, or, when a
+    per-tile hook is set, column -> tile -> Kc slice."""
     pack_b = pack_b_dup if layout == "dup" else pack_b_shuf
     a, b = b.T, a.T
     (m, k), n = a.shape, b.shape[1]
     mc = _round_up(min(BLOCKS.mc, m), MU)
     nc = _round_up(min(BLOCKS.nc, n), NU)
     kc = _round_up(min(BLOCKS.kc, k), KU)
+    slices = range(0, k, kc)
     for j0 in range(0, n, nc):
         jn = min(nc, n - j0)
-        for i0 in range(0, m, mc):
-            im = min(mc, m - i0)
-            for l0 in range(0, k, kc):
-                ln = min(kc, k - l0)
-                im_pad, jn_pad, ln_pad = (_round_up(im, MU),
-                                          _round_up(jn, NU),
-                                          _round_up(ln, KU))
-                yield (im_pad, jn_pad, ln_pad,
-                       pack_a(a[i0:i0 + im, l0:l0 + ln], im_pad, ln_pad,
-                              alpha=alpha),
-                       pack_b(b[l0:l0 + ln, j0:j0 + jn], ln_pad, jn_pad))
+        rows = range(0, m, mc)
+        order = ([(i0, l0) for i0 in rows for l0 in slices] if hooked
+                 else [(i0, l0) for l0 in slices for i0 in rows])
+        for i0, l0 in order:
+            im, ln = min(mc, m - i0), min(kc, k - l0)
+            im_pad, jn_pad, ln_pad = (_round_up(im, MU), _round_up(jn, NU),
+                                      _round_up(ln, KU))
+            yield (im_pad, jn_pad, ln_pad,
+                   pack_a(a[i0:i0 + im, l0:l0 + ln], im_pad, ln_pad,
+                          alpha=alpha),
+                   pack_b(b[l0:l0 + ln, j0:j0 + jn], ln_pad, jn_pad))
 
 
 def _operands(kind, m, n, k, rng):
@@ -97,24 +104,52 @@ def _operands(kind, m, n, k, rng):
             rng.standard_normal((k + 2, 3 * n))[2:, ::3])
 
 
-@pytest.mark.parametrize("layout", ["dup", "shuf"])
-@pytest.mark.parametrize("alpha", [1.0, -1.0, 0.5])
-@pytest.mark.parametrize("kind", ["C", "F", "transposed", "negative",
-                                  "zero_stride", "sliced"])
-def test_native_packing_matches_the_numpy_packers(kind, alpha, layout, rng):
+def _check_packing(kind, alpha, layout, rng, integrity="off"):
     for m, n, k in [(13, 11, 21), (1, 1, 1), (8, 8, 8), (17, 3, 5)]:
         a, b = _operands(kind, m, n, k, rng)
         kernel = _RecordingKernel(layout)
-        driver = GemmDriver(kernel, layout=layout, blocks=BLOCKS, threads=1)
+        driver = GemmDriver(kernel, layout=layout, blocks=BLOCKS, threads=1,
+                            integrity=integrity)
         got = driver(a, b, alpha=alpha)
         assert np.allclose(got, alpha * (a @ b)), (kind, m, n, k)
-        expected = list(_expected_calls(a, b, alpha, layout))
+        expected = list(_expected_calls(a, b, alpha, layout,
+                                        hooked=integrity == "full"))
         assert len(kernel.calls) == len(expected)
         for call, want in zip(kernel.calls, expected):
             assert call[:3] == want[:3]
             assert call[3].tobytes() == want[3].tobytes(), "A panel"
             assert call[4].tobytes() == want[4].tobytes(), "B panel"
         assert driver.pack_pool.outstanding == 0
+
+
+@pytest.mark.parametrize("layout", ["dup", "shuf"])
+@pytest.mark.parametrize("alpha", [1.0, -1.0, 0.5])
+@pytest.mark.parametrize("kind", ["C", "F", "transposed", "negative",
+                                  "zero_stride", "sliced"])
+def test_native_packing_matches_the_numpy_packers(kind, alpha, layout, rng):
+    _check_packing(kind, alpha, layout, rng)
+
+
+@pytest.mark.parametrize("layout", ["dup", "shuf"])
+@pytest.mark.parametrize("kind", ["C", "sliced"])
+def test_checked_calls_run_tile_by_tile(kind, layout, rng):
+    # with the ABFT hook set, each tile runs all its Kc slices before the
+    # next tile starts, so the hook sees the tile's whole product
+    _check_packing(kind, -1.0, layout, rng, integrity="full")
+
+
+def test_threaded_trampoline_kernel_never_writes_the_result(rng):
+    # k > Kc, and whole (8-wide) tiles beside edge tiles: the unchecked
+    # column-order loop still hands a non-native kernel only its scratch
+    # tile (the kernel asserts ldc == mc on every call)
+    a, b = rng.standard_normal((27, 21)), rng.standard_normal((21, 19))
+    c = rng.standard_normal((27, 19))
+    kernel = _RecordingKernel("dup")
+    driver = GemmDriver(kernel, blocks=BLOCKS, threads=2)
+    got = driver(a, b, c, alpha=0.5, beta=-1.0)
+    assert np.allclose(got, 0.5 * (a @ b) - c)
+    assert len(kernel.calls) == len(list(_expected_calls(a, b, 0.5, "dup")))
+    assert driver.pack_pool.outstanding == 0
 
 
 def test_worker_die_raises_before_the_native_call():
@@ -249,3 +284,53 @@ def test_nan_in_a_strided_operand_is_rejected(rng):
     b[1, 3] = np.inf
     with pytest.raises(BlasArgumentError, match="'b'"):
         strict.dgemm(a, b)
+
+
+# -- native kernels accumulate whole tiles straight into the result ----------
+
+EPS = float(np.finfo(np.float64).eps)
+
+
+def _within_bound(got, want, k):
+    """The conformance bound against ``reference.ref_gemm``:
+    ``8 * k * eps * max(1, max|ref|)``."""
+    tol = 8.0 * max(1, k) * EPS * max(1.0, float(np.max(np.abs(want))))
+    return float(np.max(np.abs(got - want))) <= tol
+
+
+def _signed_zero_problem(m, n, k, rng):
+    """(a, b, c) where a zero row of ``a`` and a zero column of ``b``
+    meet entries of ``c`` that are -0.0 and +0.0."""
+    a, b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
+    c = rng.standard_normal((m, n))
+    a[m // 2] = 0.0
+    b[:, n // 2] = 0.0
+    c[m // 2, ::2] = -0.0
+    c[::2, n // 2] = -0.0
+    c[m // 2, 1::2] = 0.0
+    return a, b, c
+
+
+def test_native_direct_path_is_bit_identical_across_threads(blas, rng):
+    driver = blas.gemm_driver
+    assert isinstance(driver, GemmDriver) and driver._kernel_address
+    kc = driver.blocks.kc
+    mu, nu = driver.mu, driver.nu
+    # (m, n) of the result is (j, i) of the kernel's tiles: edge tiles
+    # beside whole ones, only edge tiles, and only whole ones; k > Kc
+    shapes = [(1000, 517, 600), (145, 9, 513), (nu * 40, mu * 12, 700),
+              (nu * 40, mu * 12, kc), (203, 150, kc - 56)]
+    for m, n, k in shapes:
+        a, b, c = _signed_zero_problem(m, n, k, rng)
+        for beta in (0.0, 1.0, -0.5):
+            want = beta * c + a @ b
+            got = [driver(a, b, c, beta=beta, threads=t) for t in (1, 2, 3, 4)]
+            for other in got[1:]:
+                assert other.tobytes() == got[0].tobytes(), (m, n, k, beta)
+            assert _within_bound(got[0], want, k), (m, n, k, beta)
+            checked = driver(a, b, c, beta=beta, integrity="full")
+            if k <= kc:
+                # one slice: both paths add one kernel result to beta*C
+                assert checked.tobytes() == got[0].tobytes(), (m, n, k, beta)
+            else:
+                assert _within_bound(checked, got[0], k), (m, n, k, beta)
