@@ -9,12 +9,24 @@ daemon while keeping the full in-process argument-guard layer.
 Every remote call walks a degradation chain; the caller never sees a
 service failure, only (at worst) in-process latency:
 
-1. **deadline-bounded call** — operands go into client-owned shared
-   memory, one header frame crosses the socket, the daemon answers
-   within the request deadline or not at all;
+1. **deadline-bounded call** — each client thread keeps one connection
+   to the daemon and one client-owned shared-memory *arena* that both
+   sides keep mapped; a request copies its operands into the arena
+   (each at a 64-byte-aligned offset, the output after them), one
+   header frame crosses the socket, and the daemon answers within the
+   request deadline or not at all.  The arena is sized to the request
+   that needs it (replaced by a larger one under a new name when too
+   small) and its name is unlinked as soon as the first reply that
+   used it arrives.  A connection the daemon closed while idle (a
+   restart or drain) is replaced before sending, which is neither a
+   retry nor a breaker failure;
 2. **retry with jittered backoff** — explicit backpressure (``busy``,
    ``quota``) and transport drops are retried a bounded number of
-   times, honoring the server's ``retry_after_ms`` hint plus jitter;
+   times, honoring the server's ``retry_after_ms`` hint plus jitter.
+   Any failure retires the connection together with its arena — an
+   abandoned compute, or a worker that died midway through an
+   in-place update, may still write into that memory — so every
+   attempt is staged afresh from the caller's arrays;
 3. **circuit breaker** — consecutive transport failures open the
    breaker; while open, calls skip the socket entirely (no connect
    latency on a dead daemon) until a cooldown lets one probe through;
@@ -37,28 +49,130 @@ server-side ABFT verification, and folds the returned verdict into
 
 from __future__ import annotations
 
+import mmap
 import os
 import random
+import select
 import socket
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..obs import event, incr
 from ..serve.protocol import (ERR_DEADLINE, ERR_DRAINING, PROTOCOL_VERSION,
-                              RETRYABLE_CODES, PeerGone, ProtocolError,
-                              call_header, recv_frame, send_frame)
-from ..serve.shm import SegmentSet
+                              RETRYABLE_CODES, ArrayRef, PeerGone,
+                              ProtocolError, call_header, recv_frame,
+                              send_frame)
+from ..serve.shm import close_segment, create_segment, unlink_segment
 from .api import AugemBLAS
 from .routines import ROUTINES, Routine
 
 
 class ServiceUnavailable(RuntimeError):
     """Internal signal: this request will not be served remotely."""
+
+
+#: what a failed exchange with the daemon can raise (a missing socket,
+#: a refused connect, timeouts and PeerGone are all OSErrors)
+_TRANSPORT_ERRORS = (OSError, ProtocolError)
+
+#: operands start on cache-line boundaries in the arena
+_ALIGN = 64
+
+
+class _Channel:
+    """One client thread's connection to the daemon and the arena its
+    requests stage into; used only by the thread (and process) that
+    opened it."""
+
+    def __init__(self, socket_path: Path, timeout: float) -> None:
+        self.pid = os.getpid()
+        self.arena = None
+        self.linked = False   # the arena's name is still in /dev/shm
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            sock.settimeout(timeout)
+            sock.connect(str(socket_path))
+        except OSError:
+            sock.close()
+            raise
+        self.sock = sock
+
+    def hung_up(self) -> bool:
+        """Without blocking: has the idle connection become readable?
+        Between requests that means EOF (the daemon restarted or
+        drained) or bytes nobody asked for — either way, replace it."""
+        poller = select.poll()
+        poller.register(self.sock, select.POLLIN)
+        return bool(poller.poll(0))
+
+    def stage(self, arrays: Dict[str, np.ndarray],
+              out_shape: Optional[Tuple[int, ...]]
+              ) -> Tuple[Dict[str, ArrayRef], Dict[str, np.ndarray]]:
+        """Copy ``arrays`` into the arena and leave room after them for
+        an output of ``out_shape``; returns descriptors and views by
+        name, the output's under ``"out"``."""
+        shapes = {name: arr.shape for name, arr in arrays.items()}
+        if out_shape is not None:
+            shapes["out"] = out_shape
+        offsets, end = {}, 0
+        for name, shape in shapes.items():
+            offsets[name] = end
+            nbytes = 8 * int(np.prod(shape, dtype=np.int64))
+            end += -(-nbytes // _ALIGN) * _ALIGN
+        if self.arena is None or self.arena.size < end:
+            self.drop_arena()
+            self.arena = create_segment(-(-end // mmap.PAGESIZE)
+                                        * mmap.PAGESIZE, prefix="rblc")
+            self.linked = True
+        refs, views = {}, {}
+        for name, shape in shapes.items():
+            refs[name] = ArrayRef(shm=self.arena.name, shape=tuple(shape),
+                                  offset=offsets[name])
+            views[name] = np.ndarray(shape, dtype=np.float64,
+                                     buffer=self.arena.buf,
+                                     offset=offsets[name])
+            if name in arrays:
+                views[name][...] = arrays[name]
+        return refs, views
+
+    def roundtrip(self, header: Dict[str, Any],
+                  timeout: float) -> Dict[str, Any]:
+        self.sock.settimeout(timeout)
+        send_frame(self.sock, header)
+        reply = recv_frame(self.sock)
+        if reply is None:
+            raise PeerGone("worker closed the connection mid-request")
+        return reply
+
+    def settle(self) -> None:
+        """An ok reply came back: the worker has the arena mapped, so
+        its name can go (no name outlives one request)."""
+        if self.linked:
+            unlink_segment(self.arena)
+            self.linked = False
+
+    def drop_arena(self) -> None:
+        if self.arena is not None:
+            close_segment(self.arena)
+            if self.linked:
+                unlink_segment(self.arena)
+            self.arena, self.linked = None, False
+
+    def close(self) -> None:
+        self.sock.close()
+        self.drop_arena()
+
+    def __del__(self) -> None:
+        # a thread's channel goes with the thread; a forked child's copy
+        # of its parent's closes the child's descriptor and nothing else
+        sock = getattr(self, "sock", None)   # None when connect failed
+        if sock is not None:
+            sock.close()
 
 
 @dataclass
@@ -189,6 +303,7 @@ class ServedBLAS(AugemBLAS):
         self.client_id = client_id or f"{socket.gethostname()}:{os.getpid()}"
         self.stats = ClientStats()
         self._remote: Dict[str, _RemoteDriver] = {}
+        self._local = threading.local()   # this thread's _Channel
 
     # -- every routine's driver becomes a remote proxy ---------------------
 
@@ -225,39 +340,30 @@ class ServedBLAS(AugemBLAS):
             incr("client.breaker_short_circuit")
             raise ServiceUnavailable("circuit breaker open")
 
-        staged = {name: np.ascontiguousarray(call[name], dtype=np.float64)
+        arrays = {name: np.asarray(call[name], dtype=np.float64)
                   for name in row.arrays + row.optional
                   if call[name] is not None}
         scalars = {name: call[name] for name in row.scalars}
         flags = {name: bool(call[name]) for name in row.flags}
-        with SegmentSet(prefix="rblc") as segments:
-            refs, views = {}, {}
-            for name, arr in staged.items():
-                view, ref = segments.add(arr.shape, fill=arr)
-                refs[name] = ref
-                views[name] = view
-            out_ref = out_view = None
-            if row.output == "new":
-                shapes = {name: arr.shape for name, arr in staged.items()}
-                out_view, out_ref = segments.add(
-                    row.result_shape(shapes, flags))
-            # client-side sampling: the checker's deterministic 1-in-K
-            # counter decides which requests ride with ABFT verification;
-            # sampled requests ask the server for a *full* check so the
-            # verdict covers every tile of that call
-            verify = self.integrity_checker.decide()
-            header = call_header(row.name, self.client_id, self.deadline_ms,
-                                 refs, scalars, flags, out_ref,
-                                 integrity="full" if verify else None)
-            reply = self._exchange(header)
-            self._note_verdict(row.name, reply.get("integrity"))
-            if row.output == "scalar":
-                return float(reply.get("value", 0.0))
-            if row.output == "new":
-                return np.array(out_view, copy=True)
-            target = call[row.output]
-            target[...] = views[row.output]
-            return target
+        out_shape = None
+        if row.output == "new":
+            out_shape = row.result_shape(
+                {name: arr.shape for name, arr in arrays.items()}, flags)
+        # client-side sampling: the checker's deterministic 1-in-K
+        # counter decides which requests ride with ABFT verification;
+        # sampled requests ask the server for a *full* check so the
+        # verdict covers every tile of that call
+        verify = self.integrity_checker.decide()
+        reply, views = self._exchange(row.name, arrays, out_shape, scalars,
+                                      flags, "full" if verify else None)
+        self._note_verdict(row.name, reply.get("integrity"))
+        if row.output == "scalar":
+            return float(reply.get("value", 0.0))
+        if row.output == "new":
+            return np.array(views["out"], copy=True)
+        target = call[row.output]
+        target[...] = views[row.output]
+        return target
 
     def _note_verdict(self, routine: str,
                       verdict: Optional[Dict[str, Any]]) -> None:
@@ -278,14 +384,26 @@ class ServedBLAS(AugemBLAS):
                   quarantined=",".join(
                       str(q) for q in verdict.get("quarantined") or ()))
 
-    def _exchange(self, header: Dict[str, Any]) -> Dict[str, Any]:
-        """Retry/breaker loop around one request; returns the ok reply."""
+    def _exchange(self, routine: str, arrays: Dict[str, np.ndarray],
+                  out_shape: Optional[Tuple[int, ...]],
+                  scalars: Dict[str, Any], flags: Dict[str, bool],
+                  integrity: Optional[str]
+                  ) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
+        """Retry/breaker loop around one request; returns the ok reply
+        and the arena views it answered in.  Every attempt stages
+        ``arrays`` afresh; every failure retires the channel."""
         last = "unknown"
         for attempt in range(self.retries + 1):
             try:
-                reply = self._roundtrip(header)
-            except (ConnectionError, PeerGone, ProtocolError,
-                    FileNotFoundError, TimeoutError, OSError) as exc:
+                channel = self._channel()
+                refs, views = channel.stage(arrays, out_shape)
+                out_ref = refs.pop("out", None)
+                header = call_header(routine, self.client_id,
+                                     self.deadline_ms, refs, scalars, flags,
+                                     out_ref, integrity=integrity)
+                reply = channel.roundtrip(header, self._timeout())
+            except _TRANSPORT_ERRORS as exc:
+                self._retire()
                 last = f"{type(exc).__name__}: {exc}"
                 if self.breaker.record_failure():
                     self.stats.breaker_opens += 1
@@ -295,11 +413,18 @@ class ServedBLAS(AugemBLAS):
                     self._nap(attempt, None)
                     continue
                 raise ServiceUnavailable(f"transport: {last}") from None
+            except BaseException:
+                # e.g. KeyboardInterrupt between send and reply: a late
+                # reply must never answer this thread's next request
+                self._retire()
+                raise
             if reply.get("ok"):
+                channel.settle()
                 self.breaker.record_success()
                 self.stats.remote_ok += 1
                 incr("client.remote_ok")
-                return reply
+                return reply, views
+            self._retire()
             error = reply.get("error", {})
             code = error.get("code", "unknown")
             last = f"{code}: {error.get('message', '')}"
@@ -329,24 +454,45 @@ class ServedBLAS(AugemBLAS):
         delay = base * (2 ** attempt)
         time.sleep(min(delay * (1.0 + random.random() * 0.5), 1.0))
 
-    def _roundtrip(self, header: Dict[str, Any]) -> Dict[str, Any]:
-        timeout = self.deadline_ms / 1000.0 + 1.0
-        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-            sock.settimeout(timeout)
-            sock.connect(str(self.socket_path))
-            send_frame(sock, header)
-            reply = recv_frame(sock)
-        if reply is None:
-            raise PeerGone("worker closed the connection mid-request")
-        return reply
+    # -- this thread's connection and arena ---------------------------------
+
+    def _timeout(self) -> float:
+        return self.deadline_ms / 1000.0 + 1.0
+
+    def _channel(self) -> _Channel:
+        """This thread's channel, opened on first use and replaced when
+        the daemon hung up on it while idle.  A forked child leaves its
+        parent's channel alone (closing the copy it inherited never
+        touches the parent's socket or arena name) and opens its own."""
+        channel = getattr(self._local, "channel", None)
+        if channel is not None and channel.pid != os.getpid():
+            channel = self._local.channel = None
+        if channel is not None and channel.hung_up():
+            self._retire()
+            channel = None
+        if channel is None:
+            channel = self._local.channel = _Channel(self.socket_path,
+                                                     self._timeout())
+        return channel
+
+    def _retire(self) -> None:
+        """Close this thread's connection and arena (after any failure)."""
+        channel = getattr(self._local, "channel", None)
+        self._local.channel = None
+        if channel is not None and channel.pid == os.getpid():
+            channel.close()
 
     # -- service health -----------------------------------------------------
 
     def service_alive(self) -> bool:
-        """Cheap ping; True when a worker answers on the socket."""
+        """Cheap ping over this thread's connection; True when a worker
+        answers."""
         try:
-            reply = self._roundtrip({"op": "ping", "v": PROTOCOL_VERSION})
-        except (ConnectionError, PeerGone, ProtocolError, TimeoutError,
-                FileNotFoundError, OSError):
+            reply = self._channel().roundtrip(
+                {"op": "ping", "v": PROTOCOL_VERSION}, self._timeout())
+        except _TRANSPORT_ERRORS:
+            self._retire()
             return False
+        if not reply.get("ok"):
+            self._retire()
         return bool(reply.get("ok"))

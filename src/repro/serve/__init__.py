@@ -7,14 +7,17 @@ Layers:
 - :mod:`repro.serve.protocol` — header-only wire protocol (its routine
   contract is :data:`repro.blas.routines.ROUTINES`)
 - :mod:`repro.serve.shm` — client-owned shared-memory operand segments
+  (a client thread's reused arena) and the worker's per-connection
+  mappings of them
 - :mod:`repro.serve.quotas` — per-client admission limits + accounting
 - :mod:`repro.serve.server` — the worker: bounded queue, deadlines,
   backpressure, graceful drain
 - :mod:`repro.serve.supervisor` — crash supervision, restart budget, CLI
 
 The matching client facade lives in :mod:`repro.blas.client`
-(``ServedBLAS``): deadline-bounded remote calls with retry, circuit
-breaker, and transparent fallback to in-process ``AugemBLAS``.
+(``ServedBLAS``): deadline-bounded remote calls over one persistent
+connection per client thread, with retry, circuit breaker, and
+transparent fallback to in-process ``AugemBLAS``.
 """
 
 from .protocol import (ERR_BAD_REQUEST, ERR_BUSY, ERR_DEADLINE,

@@ -3,11 +3,16 @@ socket, operands in ``multiprocessing.shared_memory``.
 
 Matrices never travel over the socket and are never pickled.  A request
 is one JSON *header* frame naming the routine, inline scalars/flags, and
-an :class:`ArrayRef` (shared-memory segment name + dtype + shape) for
-every operand; the response is another JSON frame.  Every segment is
-created, owned, and unlinked by the **client** — the server only ever
-attaches, so a crashed worker can never leak client memory and a crashed
-client never strands server allocations.
+an :class:`ArrayRef` (shared-memory segment name + byte offset + dtype +
+shape) for every operand and the output; the response is another JSON
+frame.  A connection carries any number of requests, one at a time.
+The client stages all of a request's operands and its output in one
+segment, its *arena*, each at its own offset, and reuses that arena for
+the connection's later requests; a client that sends one segment per
+operand is served the same way.  Every segment is created, owned, and
+unlinked by the **client** — the server only ever attaches, so a crashed
+worker can never leak client memory and a crashed client never strands
+server allocations.
 
 Framing is ``!I`` length prefix + UTF-8 JSON, bounded by
 :data:`MAX_FRAME` (headers are tiny; anything bigger is an attack or a
@@ -27,8 +32,9 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..blas.routines import ROUTINES  # noqa: F401 - the serve contract
 
-#: protocol version; a mismatch is a BAD_REQUEST, never a crash
-PROTOCOL_VERSION = 1
+#: protocol version; a mismatch is a BAD_REQUEST, never a crash (2 added
+#: ``ArrayRef.offset``: a version-1 peer would read every operand at 0)
+PROTOCOL_VERSION = 2
 
 #: hard bound on one header frame (headers carry no matrix data)
 MAX_FRAME = 1 << 20
@@ -114,15 +120,19 @@ def recv_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
 
 @dataclass(frozen=True)
 class ArrayRef:
-    """A shared-memory operand: segment name + dtype + shape.
+    """A shared-memory operand: segment name + byte offset + dtype + shape.
 
     Every kernel is double precision, so ``float64`` is the only dtype
-    the protocol accepts.
+    the protocol accepts.  ``offset`` is where the C-ordered operand
+    starts in its segment: at least 0 and a multiple of 8 (checked
+    here); that ``offset + nbytes`` fits the segment is checked when the
+    worker maps it.
     """
 
     shm: str
     shape: Tuple[int, ...]
     dtype: str = "float64"
+    offset: int = 0
 
     @property
     def nbytes(self) -> int:
@@ -133,7 +143,7 @@ class ArrayRef:
 
     def to_json(self) -> Dict[str, Any]:
         return {"shm": self.shm, "shape": list(self.shape),
-                "dtype": self.dtype}
+                "dtype": self.dtype, "offset": self.offset}
 
     @classmethod
     def from_json(cls, rec: Any) -> "ArrayRef":
@@ -144,8 +154,13 @@ class ArrayRef:
             dtype = str(rec.get("dtype", "float64"))
             if dtype != "float64":
                 raise ValueError(f"dtype {dtype!r} is not float64")
-            return cls(shm=str(rec["shm"]), shape=shape, dtype=dtype)
-        except (TypeError, KeyError, ValueError) as exc:
+            offset = int(rec.get("offset", 0))
+            if offset < 0 or offset % 8:
+                raise ValueError(f"offset {offset} is not a non-negative "
+                                 f"multiple of 8")
+            return cls(shm=str(rec["shm"]), shape=shape, dtype=dtype,
+                       offset=offset)
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
             raise ProtocolError(f"bad array descriptor {rec!r}: {exc}") \
                 from None
 

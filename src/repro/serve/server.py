@@ -42,7 +42,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -62,7 +62,7 @@ from .protocol import (ERR_BAD_REQUEST, ERR_BUSY, ERR_DEADLINE, ERR_DRAINING,
                        send_frame)
 from .quotas import (DEFAULT_MAX_INFLIGHT_PER_CLIENT,
                      DEFAULT_MAX_REQUEST_BYTES, QuotaBook, QuotaRejected)
-from .shm import AttachedSet
+from .shm import AttachedSet, RequestMappings
 
 #: worker exit codes (the supervisor keys restart decisions off these)
 EXIT_DRAINED = 0          # graceful drain completed; do not restart
@@ -122,11 +122,13 @@ class _Request:
     """One admitted call moving from a connection thread to compute."""
 
     __slots__ = ("header", "client", "routine", "deadline", "done",
-                 "response", "abandoned", "index", "nbytes")
+                 "response", "abandoned", "index", "nbytes", "attached")
 
     def __init__(self, header: Dict[str, Any], client: str, routine: str,
-                 deadline: float, index: int, nbytes: int) -> None:
+                 deadline: float, index: int, nbytes: int,
+                 attached: AttachedSet) -> None:
         self.header = header
+        self.attached = attached   # the connection's segment mappings
         self.client = client
         self.routine = routine
         self.deadline = deadline
@@ -163,6 +165,7 @@ class ServeWorker:
         self._started_at = time.time()
         self.verdicts_preloaded = 0
         self._persisted_state = (-1, -1)
+        self._conns: Set[socket.socket] = set()
         self.exit_code = EXIT_DRAINED
 
     # -- lazy BLAS (the expensive startup work the daemon amortizes) -------
@@ -259,6 +262,15 @@ class ServeWorker:
                 self.queue.put(_SENTINEL)
             for t in workers:
                 t.join(timeout=2.0)
+            # idle persistent connections see EOF now, so their clients
+            # reconnect (to a restarted worker) before their next send
+            with self._state_lock:
+                conns = list(self._conns)
+            for conn in conns:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
             reset_pools()
             try:
                 cfg.socket_path.unlink()
@@ -299,7 +311,12 @@ class ServeWorker:
     # -- connection handling -----------------------------------------------
 
     def _serve_conn(self, conn: socket.socket) -> None:
+        """Serve one connection's requests, one at a time; its segment
+        mappings live as long as it does."""
         conn.settimeout(0.5)
+        attached = AttachedSet()
+        with self._state_lock:
+            self._conns.add(conn)
         try:
             while not self._stop.is_set():
                 try:
@@ -311,18 +328,21 @@ class ServeWorker:
                 if header is None:
                     break
                 try:
-                    if not self._dispatch_op(conn, header):
+                    if not self._dispatch_op(conn, header, attached):
                         break
                 except (BrokenPipeError, ConnectionError, OSError):
                     break
         finally:
+            with self._state_lock:
+                self._conns.discard(conn)
+            attached.close()
             try:
                 conn.close()
             except OSError:
                 pass
 
-    def _dispatch_op(self, conn: socket.socket,
-                     header: Dict[str, Any]) -> bool:
+    def _dispatch_op(self, conn: socket.socket, header: Dict[str, Any],
+                     attached: AttachedSet) -> bool:
         """Handle one frame; returns False to close the connection."""
         op = header.get("op")
         if op == "ping":
@@ -333,7 +353,10 @@ class ServeWorker:
             return True
         if op == "drain":
             # drain synchronously so the requester learns completion;
-            # the accept loop exits right after we reply
+            # the accept loop exits right after we reply (and hangs up
+            # on every other connection, not on this one)
+            with self._state_lock:
+                self._conns.discard(conn)
             self.drain(timeout=float(header.get("timeout",
                                                 self.config.drain_grace)))
             send_frame(conn, ok_response(drained=True,
@@ -341,7 +364,7 @@ class ServeWorker:
                                              self.config.accounting_path)))
             return False
         if op == "call":
-            self._handle_call(conn, header)
+            self._handle_call(conn, header, attached)
             return True
         send_frame(conn, error_response(ERR_BAD_REQUEST,
                                         f"unknown op {op!r}"))
@@ -349,8 +372,8 @@ class ServeWorker:
 
     # -- admission ---------------------------------------------------------
 
-    def _handle_call(self, conn: socket.socket,
-                     header: Dict[str, Any]) -> None:
+    def _handle_call(self, conn: socket.socket, header: Dict[str, Any],
+                     attached: AttachedSet) -> None:
         cfg = self.config
         routine = str(header.get("routine", ""))
         client = str(header.get("client", "anonymous"))[:120]
@@ -434,7 +457,7 @@ class ServeWorker:
 
         request = _Request(header, client, routine,
                            deadline=time.monotonic() + deadline_ms / 1000.0,
-                           index=index, nbytes=nbytes)
+                           index=index, nbytes=nbytes, attached=attached)
         try:
             self.queue.put_nowait(request)
         except queue.Full:
@@ -510,7 +533,7 @@ class ServeWorker:
             return error_response(ERR_INTERNAL,
                                   f"driver unavailable: {exc}")
         try:
-            with AttachedSet() as attached:
+            with request.attached.for_request() as attached:
                 return self._run_routine(row, driver, header, attached)
         except ProtocolError as exc:
             return error_response(ERR_BAD_REQUEST, str(exc))
@@ -523,7 +546,7 @@ class ServeWorker:
                                   f"{type(exc).__name__}: {exc}")
 
     def _run_routine(self, row, driver, header,
-                     attached: AttachedSet) -> Dict[str, Any]:
+                     attached: RequestMappings) -> Dict[str, Any]:
         """Bind the request to the row's driver call and run it."""
         raw = header.get("arrays") or {}
         call: Dict[str, Any] = {}
@@ -588,6 +611,7 @@ class ServeWorker:
             "pid": os.getpid(),
             "uptime_s": round(time.time() - self._started_at, 3),
             "draining": self._draining.is_set(),
+            "connections": len(self._conns),
             "queue": {"depth": self.queue.qsize(),
                       "capacity": self.queue.maxsize,
                       "peak": self._queue_peak},

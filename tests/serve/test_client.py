@@ -6,19 +6,33 @@ exercised both against a live daemon and against nothing at all.
 
 from __future__ import annotations
 
+import os
 import shutil
+import signal
 import tempfile
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.backend.faults import FaultPlan, clear_fault_plan, install_fault_plan
+from repro.blas.api import AugemBLAS
 from repro.blas.client import CircuitBreaker, ServedBLAS
 from repro.blas.reference import (ref_gemm, ref_gemv, ref_syr2k, ref_syrk)
 from repro.serve.server import ServeConfig, ServeWorker
+
+
+def _start_worker(config):
+    worker = ServeWorker(config)
+    thread = threading.Thread(target=worker.run, daemon=True)
+    thread.start()
+    deadline = time.monotonic() + 10
+    while not config.socket_path.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return worker, thread
 
 
 @pytest.fixture
@@ -29,12 +43,7 @@ def live_service(monkeypatch):
     config = ServeConfig(runtime_dir=runtime, warmup=(),
                          compute_threads=2, queue_capacity=8,
                          retry_after_ms=5)
-    worker = ServeWorker(config)
-    thread = threading.Thread(target=worker.run, daemon=True)
-    thread.start()
-    deadline = time.monotonic() + 10
-    while not config.socket_path.exists() and time.monotonic() < deadline:
-        time.sleep(0.01)
+    worker, thread = _start_worker(config)
     yield worker, config
     clear_fault_plan()
     worker.drain(timeout=5)
@@ -202,6 +211,206 @@ class TestRemoteServing:
         assert blas.stats.draining_hits == 1
         assert blas.stats.fallbacks == 1
         worker._draining.clear()
+
+
+class TestRetryRestaging:
+    def test_retry_after_a_mid_update_hangup_starts_from_caller_arrays(
+            self, live_service, monkeypatch):
+        """The worker applies daxpy's in-place update to the staged y and
+        then hangs up without replying: the retry must compute from the
+        caller's y, not from the updated copy the failed attempt left."""
+        worker, config = live_service
+        real = worker._dispatch_op
+        hung_up = []
+
+        def update_then_hang_up(conn, header, *rest):
+            if header.get("op") == "call" and not hung_up:
+                hung_up.append(header["routine"])
+                sink = SimpleNamespace(sendall=lambda data: None)
+                real(sink, header, *rest)   # the update lands; no reply
+                return False                # close the connection
+            return real(conn, header, *rest)
+
+        monkeypatch.setattr(worker, "_dispatch_op", update_then_hang_up)
+        blas = _client(config, retries=1)
+        rng = np.random.default_rng(30)
+        x, y0 = rng.standard_normal(33), rng.standard_normal(33)
+        expect = AugemBLAS().daxpy(2.5, x, y0.copy())
+        got = blas.daxpy(2.5, x, y0.copy())
+        assert hung_up == ["axpy"]
+        assert blas.stats.retries == 1 and blas.stats.remote_ok == 1
+        assert blas.stats.fallbacks == 0
+        assert np.array_equal(got, expect)
+
+
+def _client_arena_names(blas) -> set:
+    """The shared-memory names of this thread's arena still in /dev/shm."""
+    channel = blas._local.channel
+    return {channel.arena.name} & set(os.listdir("/dev/shm"))
+
+
+class TestConnectionAndArena:
+    def test_arena_name_is_gone_after_each_first_ok_reply(self,
+                                                          live_service):
+        _worker, config = live_service
+        blas = _client(config)
+        local = AugemBLAS()
+        rng = np.random.default_rng(31)
+        names = []
+        for n in (6, 40, 12):   # 40 outgrows the first arena
+            a, b = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+            assert np.array_equal(blas.dgemm(a, b), local.dgemm(a, b))
+            assert _client_arena_names(blas) == set()
+            names.append(blas._local.channel.arena.name)
+        assert names[0] != names[1] == names[2]
+        assert blas.stats.remote_ok == 3 and blas.stats.fallbacks == 0
+
+    @pytest.mark.parametrize("routine", ["daxpy", "dgemm"])
+    def test_abandoned_compute_cannot_reach_the_next_request(
+            self, live_service, monkeypatch, routine):
+        """A compute answered ``deadline`` keeps running and then writes
+        NaN into every operand, output and in-place array it was given,
+        while the client's next request is computing."""
+        worker, config = live_service
+        real_driver_for = worker._driver_for
+        second_running, scribbled = threading.Event(), threading.Event()
+        drivers = []
+
+        def driver_for(name):
+            real = real_driver_for(name)
+            drivers.append(name)
+            if len(drivers) == 1:
+                def late(*args, **kwargs):
+                    result = real(*args, **kwargs)
+                    second_running.wait(10)
+                    for arg in args:
+                        if isinstance(arg, np.ndarray):
+                            arg[...] = np.nan
+                    scribbled.set()
+                    return np.full_like(result, np.nan)
+                return late
+
+            def after_the_scribble(*args, **kwargs):
+                second_running.set()
+                scribbled.wait(10)
+                return real(*args, **kwargs)
+            return after_the_scribble
+
+        monkeypatch.setattr(worker, "_driver_for", driver_for)
+        blas = _client(config, deadline_ms=300, retries=0)
+        local = AugemBLAS()
+        rng = np.random.default_rng(32)
+        a, b = rng.standard_normal((9, 7)), rng.standard_normal((7, 5))
+        x, y = rng.standard_normal(21), rng.standard_normal(21)
+
+        def both(facade):
+            if routine == "daxpy":
+                return facade.daxpy(0.75, x, y.copy())
+            return facade.dgemm(a, b)
+
+        expect = both(local)
+        assert np.allclose(both(blas), expect)      # the fallback's answer
+        assert blas.stats.deadline_hits == 1 and blas.stats.fallbacks == 1
+        assert np.array_equal(both(blas), expect)   # served remotely
+        assert scribbled.is_set()
+        assert blas.stats.remote_ok == 1 and blas.stats.fallbacks == 1
+
+    def test_drain_and_restart_between_requests_is_absorbed(
+            self, monkeypatch):
+        monkeypatch.setenv("REPRO_FORCE_ARCH", "reference")
+        clear_fault_plan()
+        runtime = Path(tempfile.mkdtemp(prefix="rsv", dir="/tmp"))
+        config = ServeConfig(runtime_dir=runtime, warmup=(),
+                             compute_threads=1)
+        try:
+            worker, thread = _start_worker(config)
+            blas = _client(config, retries=0)
+            rng = np.random.default_rng(33)
+            x, y = rng.standard_normal(50), rng.standard_normal(50)
+            expect = AugemBLAS().ddot(x, y)
+            assert blas.ddot(x, y) == expect
+            worker.drain(timeout=5)
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            worker, thread = _start_worker(config)
+            assert blas.ddot(x, y) == expect
+            assert blas.stats.remote_ok == 2
+            assert blas.stats.retries == 0 and blas.stats.fallbacks == 0
+            worker.drain(timeout=5)
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        finally:
+            shutil.rmtree(runtime, ignore_errors=True)
+
+    def test_two_threads_use_two_connections(self, live_service):
+        worker, config = live_service
+        blas = _client(config)
+        local = AugemBLAS()
+        rng = np.random.default_rng(34)
+        operands = [(rng.standard_normal((n, 8)), rng.standard_normal((8, n)))
+                    for n in (11, 17)]
+        results = {}
+        barrier = threading.Barrier(3, timeout=20)
+
+        def call(i):
+            results[i] = blas.dgemm(*operands[i])
+            barrier.wait()   # hold this thread's connection open
+            barrier.wait()   # until the main thread has counted
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        barrier.wait()
+        connections = worker.status()["connections"]
+        barrier.wait()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert connections == 2
+        for i, (a, b) in enumerate(operands):
+            assert np.array_equal(results[i], local.dgemm(a, b))
+        assert blas.stats.remote_ok == 2 and blas.stats.fallbacks == 0
+
+    def test_forked_child_never_uses_the_parents_channel(self,
+                                                         live_service):
+        _worker, config = live_service
+        blas = _client(config)
+        rng = np.random.default_rng(35)
+        x = rng.standard_normal(64)
+        expect = AugemBLAS().ddot(x, x)
+        assert blas.ddot(x, x) == expect
+        channel = blas._local.channel
+        arena = channel.arena.name
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:   # the child: report, then leave without cleanup
+            verdict = b"0"
+            try:
+                got = blas.ddot(x, x)
+                child = blas._local.channel
+                if (got == expect and blas.stats.fallbacks == 0
+                        and child is not channel
+                        and child.arena.name != arena):
+                    verdict = b"1"
+            finally:
+                os.write(write_end, verdict)
+                os._exit(0)
+        os.close(write_end)
+        deadline = time.monotonic() + 60
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("forked child hung")
+            time.sleep(0.01)
+        with os.fdopen(read_end, "rb") as pipe:
+            assert pipe.read() == b"1"
+        # the parent's connection and arena were neither reused nor
+        # closed: its next call goes out on both, unchanged
+        assert blas.ddot(x, x) == expect
+        assert blas._local.channel is channel
+        assert channel.arena.name == arena
+        assert blas.stats.remote_ok == 2 and blas.stats.fallbacks == 0
 
 
 class TestNoService:

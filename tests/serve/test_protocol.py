@@ -121,6 +121,15 @@ class TestArrayRef:
         with pytest.raises(ProtocolError):
             ArrayRef.from_json({"shape": [2]})
 
+    def test_offset_is_a_non_negative_multiple_of_8(self):
+        ref = ArrayRef(shm="s", shape=(2,), offset=64)
+        assert ArrayRef.from_json(ref.to_json()) == ref
+        assert ArrayRef.from_json({"shm": "s", "shape": [2]}).offset == 0
+        for offset in (-8, 4, "x", float("inf")):
+            with pytest.raises(ProtocolError):
+                ArrayRef.from_json({"shm": "s", "shape": [2],
+                                    "offset": offset})
+
     def test_only_float64_operands(self):
         for dtype in ("nope", "float32"):
             with pytest.raises(ProtocolError):

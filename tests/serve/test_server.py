@@ -22,8 +22,8 @@ import pytest
 from repro.backend.faults import FaultPlan, clear_fault_plan, install_fault_plan
 from repro.serve.protocol import (ERR_BAD_REQUEST, ERR_BUSY, ERR_DEADLINE,
                                   ERR_DRAINING, ERR_QUOTA, PROTOCOL_VERSION,
-                                  call_header, ok_response, recv_frame,
-                                  send_frame)
+                                  ArrayRef, call_header, ok_response,
+                                  recv_frame, send_frame)
 from repro.serve.server import ServeConfig, ServeWorker
 from repro.serve.shm import SegmentSet
 from repro.serve.supervisor import rpc
@@ -180,6 +180,59 @@ class TestAdmission:
             _view, ref = segments.add((64,), fill=np.zeros(64))  # 512 B
             reply = rpc(config.socket_path, _scal_header(ref))
             assert reply["error"]["code"] == ERR_QUOTA
+
+
+class TestOperandPlacement:
+    @pytest.mark.parametrize("offset, shape", [
+        (-8, (4,)),      # negative offset
+        (4, (4,)),       # offset not a multiple of 8
+        (8, (4,)),       # the operand runs past the segment end
+        (64, (1,)),      # the offset itself is past the end
+        (0, (1000,)),    # a shape larger than the segment
+    ])
+    def test_bad_placement_is_bad_request_and_the_worker_goes_on(
+            self, serve_env, offset, shape):
+        worker, config = serve_env
+        with SegmentSet() as segments:
+            view, ref = segments.add((4,), fill=np.arange(4.0))  # 32 B
+            bad = ArrayRef(shm=ref.shm, shape=shape, offset=offset)
+            good = call_header("scal", "t", 5000, {"x": ref},
+                               {"alpha": 2.0}, {}, None)
+            sock = _open_call(config, _scal_header(bad))
+            try:
+                reply = recv_frame(sock)
+                assert reply["error"]["code"] == ERR_BAD_REQUEST
+                send_frame(sock, good)   # same connection, still served
+                assert recv_frame(sock)["ok"]
+            finally:
+                sock.close()
+            assert np.array_equal(view, 2.0 * np.arange(4.0))
+        assert worker.quotas.totals()["inflight"] == 0
+
+    def test_one_segment_per_operand_is_served_bit_equal(self, serve_env):
+        from repro.blas.api import AugemBLAS
+
+        _worker, config = serve_env
+        local = AugemBLAS()
+        rng = np.random.default_rng(40)
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.settimeout(15)
+        sock.connect(str(config.socket_path))
+        try:
+            for m, k, n in ((5, 7, 3), (12, 4, 9)):   # one connection
+                a = rng.standard_normal((m, k))
+                b = rng.standard_normal((k, n))
+                with SegmentSet() as segments:
+                    _, ra = segments.add(a.shape, fill=a)
+                    _, rb = segments.add(b.shape, fill=b)
+                    out, ro = segments.add((m, n))
+                    send_frame(sock, call_header(
+                        "gemm", "t", 5000, {"a": ra, "b": rb},
+                        {"alpha": 1.5, "beta": 0.0}, {}, ro))
+                    assert recv_frame(sock)["ok"]
+                    assert np.array_equal(out, local.dgemm(a, b, alpha=1.5))
+        finally:
+            sock.close()
 
 
 class TestDeadlines:

@@ -72,6 +72,37 @@ class TestSharedMemory:
             seg.close()
             seg.unlink()
 
+    def test_attached_set_maps_what_requests_use(self):
+        made = [create_array((4,), fill=np.full(4, float(i)))
+                for i in range(4)]
+        a, b, c, d = (ref for _seg, _view, ref in made)
+        try:
+            attached = AttachedSet()
+            with attached.for_request() as request:
+                request.attach(a)
+                request.attach(b)
+            assert set(attached._segments) == {a.shm, b.shm}
+            with attached.for_request() as request:
+                request.attach(b)
+            # what the last request did not use is let go
+            assert set(attached._segments) == {b.shm}
+            with attached.for_request() as request:
+                request.attach(c)
+                # a new name is never mapped beside unused mappings
+                assert set(attached._segments) == {c.shm}
+            running = attached.for_request()
+            with running:
+                view = running.attach(d)
+                attached.close()   # the connection ends mid-request
+                assert set(attached._segments) == {d.shm}
+                view[0] = 42.0     # still mapped
+            assert set(attached._segments) == set()
+            assert made[3][1][0] == 42.0
+        finally:
+            for seg, _view, _ref in made:
+                seg.close()
+                seg.unlink()
+
 
 class TestQuotaBook:
     def test_admit_and_release(self):
