@@ -187,11 +187,9 @@ class KernelCache:
     def _entry_dir(self, key: str) -> Path:
         return self.root / "objects" / key[:2] / key
 
-    def _tuning_path(self, key: str) -> Path:
-        return self.root / "tuning" / key[:2] / f"{key}.json"
-
-    def _quarantine_path(self, key: str) -> Path:
-        return self.root / "quarantine" / key[:2] / f"{key}.json"
+    def _record_path(self, kind: str, key: str) -> Path:
+        """One JSON record of ``kind`` ("tuning" or "quarantine")."""
+        return self.root / kind / key[:2] / f"{key}.json"
 
     def _scratch(self) -> Path:
         tmp = self.root / "tmp"
@@ -322,80 +320,62 @@ class KernelCache:
             self.stats.evictions += 1
             incr("cache.eviction")
 
-    # -- tuning measurements ----------------------------------------------
+    # -- JSON records: tuning measurements and candidate quarantine --------
+    #
+    # A tuning record is one persisted measurement.  A candidate that
+    # crashed or hung in the isolated worker is quarantined (keyed like
+    # the tuning measurements, by the generated kernel's content hash) so
+    # a re-tuning run skips it without re-executing the crash.  Both are
+    # best-effort; ``clear()`` resets them along with everything else.
 
     def load_tuning(self, key: str) -> Optional[Dict[str, Any]]:
-        if not self.enabled:
-            return None
-        try:
-            record = json.loads(self._tuning_path(key).read_text())
-        except (FileNotFoundError, NotADirectoryError):
-            return None
-        except Exception:
-            self.stats.errors += 1
-            try:
-                self._tuning_path(key).unlink()
-                self.stats.evictions += 1
-            except OSError as exc:
-                self._io_error(exc, "cache.tuning.evict")
-            return None
-        self.stats.tuning_hits += 1
-        incr("cache.tuning_hit")
-        return record
+        return self._load_record("tuning", key)
 
     def store_tuning(self, key: str, record: Dict[str, Any]) -> None:
-        if not self.enabled:
-            return
-        path = self._tuning_path(key)
-        try:
-            with self._locked("tuning"):
-                path.parent.mkdir(parents=True, exist_ok=True)
-                fsio.atomic_write_json(path, record, tag="cache.tuning")
-        except OSError:
-            self.stats.errors += 1  # measurements are best-effort too
-            return
-        self.stats.tuning_puts += 1
-        incr("cache.tuning_put")
-
-    # -- candidate quarantine ----------------------------------------------
-    #
-    # A candidate that crashed or hung in the isolated worker is recorded
-    # here (keyed like the tuning measurements, by the generated kernel's
-    # content hash) so a re-tuning run skips it without re-executing the
-    # crash.  ``clear()`` resets the quarantine along with everything else.
+        self._store_record("tuning", key, record)
 
     def load_quarantine(self, key: str) -> Optional[Dict[str, Any]]:
+        return self._load_record("quarantine", key)
+
+    def store_quarantine(self, key: str, record: Dict[str, Any]) -> None:
+        self._store_record("quarantine", key, record)
+
+    def _load_record(self, kind: str, key: str) -> Optional[Dict[str, Any]]:
         if not self.enabled:
             return None
+        path = self._record_path(kind, key)
         try:
-            record = json.loads(self._quarantine_path(key).read_text())
+            record = json.loads(path.read_text())
         except (FileNotFoundError, NotADirectoryError):
             return None
         except Exception:
             self.stats.errors += 1
             try:
-                self._quarantine_path(key).unlink()
+                path.unlink()
                 self.stats.evictions += 1
             except OSError as exc:
-                self._io_error(exc, "cache.quarantine.evict")
+                self._io_error(exc, f"cache.{kind}.evict")
             return None
-        self.stats.quarantine_hits += 1
-        incr("cache.quarantine_hit")
+        setattr(self.stats, f"{kind}_hits",
+                getattr(self.stats, f"{kind}_hits") + 1)
+        incr(f"cache.{kind}_hit")
         return record
 
-    def store_quarantine(self, key: str, record: Dict[str, Any]) -> None:
+    def _store_record(self, kind: str, key: str,
+                      record: Dict[str, Any]) -> None:
         if not self.enabled:
             return
-        path = self._quarantine_path(key)
+        path = self._record_path(kind, key)
         try:
-            with self._locked("quarantine"):
+            with self._locked(kind):
                 path.parent.mkdir(parents=True, exist_ok=True)
-                fsio.atomic_write_json(path, record, tag="cache.quarantine")
+                fsio.atomic_write_json(path, record, tag=f"cache.{kind}")
         except OSError:
-            self.stats.errors += 1  # quarantine is best-effort too
+            self.stats.errors += 1
             return
-        self.stats.quarantine_puts += 1
-        incr("cache.quarantine_put")
+        setattr(self.stats, f"{kind}_puts",
+                getattr(self.stats, f"{kind}_puts") + 1)
+        incr(f"cache.{kind}_put")
 
     # -- maintenance -------------------------------------------------------
 

@@ -40,7 +40,7 @@ import json
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs import incr, span
 from .cache import ENTRY_VERSION, KernelCache
@@ -127,21 +127,26 @@ def _check_entry(entry: Path) -> Optional[str]:
     return None
 
 
-def _check_json_file(path: Path) -> Optional[str]:
+def _read_json_object(path: Path) -> Tuple[Optional[dict], Optional[str]]:
+    """``(record, None)`` for a readable JSON object, else ``(None,
+    defect)``."""
     try:
         record = json.loads(path.read_text())
     except (OSError, ValueError) as exc:
-        return f"unreadable: {exc}"
+        return None, f"unreadable: {exc}"
     if not isinstance(record, dict):
-        return "not a JSON object"
-    return None
+        return None, "not a JSON object"
+    return record, None
+
+
+def _check_json_file(path: Path) -> Optional[str]:
+    return _read_json_object(path)[1]
 
 
 def _check_verdict_store(path: Path) -> Optional[str]:
-    defect = _check_json_file(path)
+    record, defect = _read_json_object(path)
     if defect is not None:
         return defect
-    record = json.loads(path.read_text())
     try:
         from ..blas.dispatch import VERDICT_STORE_VERSION
     except ImportError:  # scrub must not depend on the BLAS stack loading

@@ -28,13 +28,9 @@ broadcast operands need no copy.  The layouts and the zero padding are
 exactly those of :mod:`repro.blas.packing`, which stays the layout
 specification and the test oracle.
 
-With a per-tile hook (the driver's fault injection and ABFT ladder)
-the loop runs one tile at a time instead, tile -> Kc slice: the tile's
-whole product is built in the zeroed scratch tile, the hook sees it,
-and it is added once.  A checked element is therefore
-``beta*C + ((r1 + r2) + ...)``, which can differ from the unchecked sum
-in the last place when k > Kc.  A nonzero return from the hook stops
-the loop.
+The loop has no other order and calls back into nothing but the
+kernel: fault injection and ABFT verification run in Python on the
+finished tiles after the call returns (:mod:`repro.blas.gemm`).
 
 The source is built once per process with plain ``-O2`` — no
 ``-march``, no fast-math, so every multiply and add is the same IEEE
@@ -57,7 +53,6 @@ GEBP_C = r"""
 
 typedef void (*gebp_kernel)(long, long, long, double *, double *, double *,
                             long);
-typedef int (*gebp_hook)(long);
 
 static long round_up(long x, long mult)
 {
@@ -112,20 +107,18 @@ static void add_tile(double *out, long os0, long os1, const double *c,
    a is m x k and b is k x n; out is indexed [j, i].  b_buf holds every
    Kc panel of one column, each starting on a 64-byte boundary.
 
-   The range runs in groups: the run of tiles that share a column, or,
-   with a hook, one tile.  A group's column is packed once, then each Kc
-   slice in ascending order serves every tile of the group.  A hooked
-   tile builds its whole product in c_buf for the hook and is added
-   once; otherwise a whole tile of a native kernel (direct) accumulates
-   each slice straight into out, and any other tile goes through c_buf
-   once per slice. */
-int augem_gebp(gebp_kernel kernel, int shuf, int direct, const long *tiles,
-               long first, long count,
-               const double *a, long as0, long as1,
-               const double *b, long bs0, long bs1,
-               double *out, long os0, long os1,
-               long k, long kc, long ku, double alpha,
-               double *a_buf, double *b_buf, double *c_buf, gebp_hook hook)
+   The range runs in groups: the run of tiles that share a column.  A
+   group's column is packed once, then each Kc slice in ascending order
+   serves every tile of the group.  A whole tile of a native kernel
+   (direct) accumulates each slice straight into out; any other tile
+   goes through c_buf once per slice. */
+void augem_gebp(gebp_kernel kernel, int shuf, int direct, const long *tiles,
+                long first, long count,
+                const double *a, long as0, long as1,
+                const double *b, long bs0, long bs1,
+                double *out, long os0, long os1,
+                long k, long kc, long ku, double alpha,
+                double *a_buf, double *b_buf, double *c_buf)
 {
     long packed_j0 = -1, t = first, stop = first + count;
     while (t < stop) {
@@ -134,8 +127,7 @@ int augem_gebp(gebp_kernel kernel, int shuf, int direct, const long *tiles,
         long end = t + 1, l0;
         double *panel;
 
-        if (!hook)
-            while (end < stop && tiles[6 * end] == j0) end++;
+        while (end < stop && tiles[6 * end] == j0) end++;
         if (j0 != packed_j0) {
             panel = b_buf;
             for (l0 = 0; l0 < k; l0 += kc) {
@@ -152,8 +144,6 @@ int augem_gebp(gebp_kernel kernel, int shuf, int direct, const long *tiles,
             packed_j0 = j0;
         }
 
-        if (hook)
-            memset(c_buf, 0, (size_t)(tile[5] * jn_pad) * sizeof(double));
         panel = b_buf;
         for (l0 = 0; l0 < k; l0 += kc) {
             long ln = k - l0 < kc ? k - l0 : kc, ln_pad = round_up(ln, ku);
@@ -163,11 +153,7 @@ int augem_gebp(gebp_kernel kernel, int shuf, int direct, const long *tiles,
                 double *dst = out + j0 * os0 + i0 * os1;
                 pack(a_buf, im_pad, a + i0 * as0 + l0 * as1, as1, as0, ln, im,
                      ln_pad, im_pad, alpha);
-                if (hook) {
-                    kernel(im_pad, jn_pad, ln_pad, a_buf, panel, c_buf,
-                           im_pad);
-                } else if (direct && os1 == 1 && im == im_pad
-                           && jn == jn_pad) {
+                if (direct && os1 == 1 && im == im_pad && jn == jn_pad) {
                     kernel(im_pad, jn_pad, ln_pad, a_buf, panel, dst, os0);
                 } else {
                     memset(c_buf, 0,
@@ -179,16 +165,8 @@ int augem_gebp(gebp_kernel kernel, int shuf, int direct, const long *tiles,
             }
             panel += round_up(ln_pad * jn_pad, 8);
         }
-
-        if (hook) {
-            if (hook(t))
-                return 1;
-            add_tile(out + j0 * os0 + tile[3] * os1, os0, os1, c_buf, tile[5],
-                     tile[4], jn);
-        }
         t = end;
     }
-    return 0;
 }
 """
 
@@ -196,8 +174,6 @@ int augem_gebp(gebp_kernel kernel, int shuf, int direct, const long *tiles,
 KERNEL_FN = ctypes.CFUNCTYPE(None, ctypes.c_long, ctypes.c_long,
                              ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
                              ctypes.c_void_p, ctypes.c_long)
-#: ``int hook(long tile_index)``
-HOOK_FN = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_long)
 
 _L, _P, _D = ctypes.c_long, ctypes.c_void_p, ctypes.c_double
 _ARGTYPES = [_P, ctypes.c_int, ctypes.c_int,  # kernel, shuf, direct
@@ -205,7 +181,7 @@ _ARGTYPES = [_P, ctypes.c_int, ctypes.c_int,  # kernel, shuf, direct
              _P, _L, _L, _P, _L, _L,          # a, b with strides
              _P, _L, _L,                      # out with strides
              _L, _L, _L, _D,                  # k, kc, ku, alpha
-             _P, _P, _P, _P]                  # buffers, hook
+             _P, _P, _P]                      # buffers
 
 
 class _Build(threading.Thread):
@@ -220,7 +196,7 @@ class _Build(threading.Thread):
         try:
             fn = build_shared({"gebp.c": GEBP_C},
                               tag="gebp").symbol("augem_gebp")
-            fn.restype, fn.argtypes = ctypes.c_int, _ARGTYPES
+            fn.restype, fn.argtypes = None, _ARGTYPES
             self.fn = fn
         except BaseException as exc:  # noqa: BLE001 - raised by gebp_function
             self.error = exc

@@ -4,8 +4,9 @@ block-partitioned algorithm originally developed by Goto").
 
 Python plans the call; C runs it.  The driver:
 
-1. owns exactly one full-size array per call — the C-contiguous result,
-   ``beta * C`` or zeros — and swaps the operand roles at entry: a
+1. owns one full-size array per call — the C-contiguous result,
+   ``beta * C`` or zeros (zeros for a checked call, which adds
+   ``beta * C`` last) — and swaps the operand roles at entry: a
    row-major ``C`` is the column-major ``Cᵀ = Bᵀ Aᵀ``, so the kernel's
    column-major tile of ``Bᵀ Aᵀ`` has the layout of the block of the
    result it belongs to;
@@ -28,20 +29,23 @@ Python plans the call; C runs it.  The driver:
 
 Parallel execution is **bit-identical** to single-threaded execution at
 any thread count: each (jc, ic) macro-tile is computed by exactly one
-native call, every element of an unchecked call is
-``((beta*C + r1) + r2) + ...`` over its Kc slices in ascending order
-whether its tile is whole or an edge (see :mod:`repro.blas.gebp`), and
-tiles land in disjoint blocks of the result — so no floating-point
-operation ever reorders, whatever the scheduling.  A column split across
-two ranges has its B panels packed by both.
+native call, every element is ``((beta*C + r1) + r2) + ...`` over its
+Kc slices in ascending order whether its tile is whole or an edge (see
+:mod:`repro.blas.gebp`), and tiles land in disjoint blocks of the
+result — so no floating-point operation ever reorders, whatever the
+scheduling.  A column split across two ranges has its B panels packed
+by both.
 
-Python keeps the decisions around the loop: the fault plan
-(``worker_die`` raises before the native call covering the tile;
-``corrupt`` flips the tile's bits through a per-tile hook) and the ABFT
-ladder of :mod:`repro.blas.integrity`, which the same hook runs on the
-finished tile before the loop adds it.  A hooked range builds each
-tile's whole product before adding it once, so at k > Kc a checked
-call can differ from an unchecked one in the last place.
+Python keeps the decisions around the loop, as plain steps before and
+after each range's native call on the thread that made it: the fault
+plan (``worker_die`` raises before the call covering the tile;
+``corrupt`` flips bits of the finished tile after it) and the ABFT
+ladder of :mod:`repro.blas.integrity`, run on each finished tile's
+block of the result.  A checked call accumulates the bare product into
+zeros, verifies its tiles, and only then adds ``beta*C`` in one numpy
+add, so each checked element is ``beta*C + ((0 + r1) + r2 ...)``: the
+checksums see the product alone, and with ``beta*C`` absent or at
+k <= Kc that is the unchecked call's bits.
 
 ``alpha`` scales the packed A block; ``beta`` pre-scales C — the kernel
 itself computes pure ``C += A*B`` exactly as in paper Fig. 12.  The
@@ -53,10 +57,9 @@ from __future__ import annotations
 
 import ctypes
 import threading as _threading
-import time as _time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -66,9 +69,8 @@ from ..backend.runner import NativeKernel
 from ..core.framework import GeneratedKernel
 from ..obs import event, incr, span
 from ..obs import trace as _trace
-from .gebp import HOOK_FN, KERNEL_FN, gebp_function, start_build
-from .integrity import STATS as _ISTATS
-from .integrity import (IntegrityChecker, IntegrityReport,
+from .gebp import KERNEL_FN, gebp_function, start_build
+from .integrity import (IntegrityChecker, IntegrityReport, contain,
                         resolve_integrity, verify_gemm_tile)
 from .threading import PackBufferPool, get_pool, resolve_threads
 
@@ -144,6 +146,16 @@ def _operand(x: np.ndarray) -> tuple:
     return x.ctypes.data, x.strides[0] // 8, x.strides[1] // 8
 
 
+def _scaled(c: Optional[np.ndarray], beta: float, m: int,
+            n: int) -> np.ndarray:
+    """A fresh C-contiguous ``beta * C`` (zeros without C or at beta 0)."""
+    if c is None or beta == 0.0:
+        return np.zeros((m, n))
+    if beta == 1.0:
+        return np.array(c, order="C")
+    return np.multiply(c, beta, order="C")
+
+
 def _view(address: int, size: int) -> np.ndarray:
     return np.ctypeslib.as_array((ctypes.c_double * size).from_address(
         address))
@@ -212,22 +224,19 @@ class GemmDriver:
             c = np.asarray(c, dtype=np.float64)
             if c.shape != (m, n):
                 raise ValueError(f"C has shape {c.shape}, expected {(m, n)}")
-        # the one full-size array of the call: beta*C (or zeros), row-major
-        if c is None or beta == 0.0:
-            out = np.zeros((m, n))
-        elif beta == 1.0:
-            out = np.array(c, order="C")
-        else:
-            out = np.multiply(c, beta, order="C")
         report = integrity_report
         if report is not None:
             report.mode = self.integrity.mode if integrity is None \
                 else resolve_integrity(integrity)[0]
         if alpha == 0.0 or m == 0 or n == 0 or k == 0:
-            return out  # no tile runs, so no sampling slot is spent
+            return _scaled(c, beta, m, n)  # no tile runs: no sampling slot
         check = self.integrity.decide(integrity)
         if report is not None:
             report.checked = report.checked or check
+        # the one full-size array of the call, row-major: beta*C, or, for
+        # a checked call, the bare product until its tiles are verified
+        deferred = check and c is not None and beta != 0.0
+        out = np.zeros((m, n)) if deferred else _scaled(c, beta, m, n)
 
         # row-major C is column-major Cᵀ = Bᵀ Aᵀ: after the swap a kernel
         # tile has the layout of the block of ``out`` it is added into
@@ -252,6 +261,8 @@ class GemmDriver:
                               i0, im, _round_up(im, self.mu)))
         _GebpCall(self, tiles, a, b, out, alpha, k, mc, nc, kc, check,
                   report).run(min(nthreads, len(tiles)))
+        if deferred:
+            np.add(c if beta == 1.0 else np.multiply(c, beta), out, out=out)
         return out
 
 
@@ -260,9 +271,9 @@ class _GebpCall:
 
     ``a @ b`` are the swapped operands of :meth:`GemmDriver.__call__`
     and ``out`` is indexed ``[j, i]``.  Each worker runs one contiguous
-    range of the tile list in one native call.  The per-tile hook — the
-    ``corrupt`` fault and the ABFT ladder — is passed only when a check
-    is due or a fault is planned for a tile of the range.
+    range of the tile list in one native call, then, on the same thread,
+    applies the range's planned ``corrupt`` faults and, when the call is
+    checked, runs the ABFT ladder on each tile's block of ``out``.
     """
 
     def __init__(self, driver: GemmDriver, tiles, a, b, out, alpha: float,
@@ -316,7 +327,8 @@ class _GebpCall:
                               index=index) if self.plan is not None else None
 
     def run_range(self, first: int, stop: int) -> None:
-        """Tiles ``first .. stop-1`` in one native call."""
+        """Tiles ``first .. stop-1`` in one native call, then their
+        planned ``corrupt`` faults and, for a checked call, the ladder."""
         corrupt = set()
         for index in range(first, stop):
             fault = self.fault_at(index)
@@ -326,29 +338,27 @@ class _GebpCall:
                     f"#{index}")
             if fault == "corrupt":
                 corrupt.add(index)
-        hook = None
-        if self.check or corrupt:
-            def hook(index: int, c_buf: np.ndarray) -> None:
-                j0, jn, jn_pad, i0, im, im_pad = self.tiles[index]
-                tile = c_buf[:jn_pad * im_pad].reshape(jn_pad, im_pad)
-                if index in corrupt:
-                    corrupt_tile(tile)
-                if self.check:
-                    tile = tile[:jn, :im]
-                    resolved = self.resolve(tile, index)
-                    if resolved is not tile:
-                        tile[...] = resolved
         self.native(self.table, first, stop - first, self.a, self.b,
-                    self.out, hook)
+                    self.out)
+        if not (self.check or corrupt):
+            return
+        for index in range(first, stop):
+            j0, jn, _, i0, im, _ = self.tiles[index]
+            tile = self.out[j0:j0 + jn, i0:i0 + im]
+            if index in corrupt:
+                corrupt_tile(tile)
+            if self.check:
+                verified = self.verified(tile, index)
+                if verified is not tile:
+                    tile[...] = verified
 
     # -- the native call -----------------------------------------------------
 
     def native(self, table: np.ndarray, first: int, count: int,
-               a: np.ndarray, b: np.ndarray, out: np.ndarray,
-               hook: Optional[Callable]) -> None:
+               a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         """``augem_gebp`` over ``count`` tiles of ``table`` in a pooled
-        workspace.  An exception raised in the kernel trampoline or in
-        ``hook(index, c_buf)`` stops the loop and is re-raised here."""
+        workspace.  An exception raised in the kernel trampoline is
+        re-raised here."""
         driver, pool = self.driver, self.driver.pack_pool
         errors: List[BaseException] = []
         ws = pool.acquire(self.workspace)
@@ -356,8 +366,6 @@ class _GebpCall:
             kernel = driver._kernel_address
             if kernel is None:
                 kernel = _trampoline(driver.kernel, errors)
-            c_hook = None if hook is None else \
-                _hook(hook, ws[self.c_at:], errors)
             base = ws.ctypes.data
             # only a native kernel may write into ``out`` directly: the
             # trampoline would hand Python a view spanning other tiles
@@ -366,7 +374,7 @@ class _GebpCall:
                          table.ctypes.data, first, count, *_operand(a),
                          *_operand(b), *_operand(out), self.k, self.kc,
                          driver.ku, self.alpha, base, base + 8 * self.b_at,
-                         base + 8 * self.c_at, c_hook)
+                         base + 8 * self.c_at)
         finally:
             pool.release(ws)
         if errors:
@@ -374,68 +382,38 @@ class _GebpCall:
 
     # -- ABFT ----------------------------------------------------------------
 
-    def note(self, field: str, n: int = 1) -> None:
-        _ISTATS.add(field, n)
-        incr(f"integrity.{field}", n)
-        # the per-call report counts tiles_checked, not raw checks
-        if self.report is not None and field != "checks":
-            self.report.note(field, n)
-
-    def note_overhead(self, t0: int) -> None:
-        dt = _time.perf_counter_ns() - t0
-        _ISTATS.add("overhead_ns", dt)
-        if self.report is not None:
-            self.report.note("overhead_ns", dt)
-
-    def resolve(self, tile: np.ndarray, index: int) -> np.ndarray:
+    def verified(self, tile: np.ndarray, index: int) -> np.ndarray:
         """The verified ``(jn, im)`` tile: ``tile`` itself when its
         checksums hold, else the retry's or the reference's bits."""
-        driver, report = self.driver, self.report
-        family = driver.family
+        driver = self.driver
         j0, jn, jn_pad, i0, im, im_pad = self.tiles[index]
-        t0 = _time.perf_counter_ns()
         a_sub = self.a[i0:i0 + im, :]
         b_sub = self.b[:, j0:j0 + jn]
-        self.note("checks")
-        if report is not None:
-            report.note("tiles_checked")
-        if verify_gemm_tile(tile, a_sub, b_sub, self.alpha):
-            self.note_overhead(t0)
-            return tile
         worker = _threading.current_thread().name
-        self.note("mismatches")
-        event("integrity.mismatch", family=family, tile=index,
-              j0=j0, i0=i0, worker=worker)
-        # rung 1: retry once as a fresh one-tile native call that packs
-        # its own B panel (heals transient bit-flips and dirty-scratch
-        # races; the fault plan is re-consulted so a persistent
-        # `corrupt` spec corrupts the retry too).  The retry adds into
-        # -0.0, the identity of IEEE addition, so it holds the tile's
-        # exact bits, sign of zero included.
-        self.note("retries")
-        retry = np.full((jn, im), -0.0)
-        self.native(np.array([(0, jn, jn_pad, 0, im, im_pad)],
-                             dtype=np.int64), 0, 1, a_sub, b_sub, retry,
-                    None)
-        if self.fault_at(index) == "corrupt":
-            corrupt_tile(retry)
-        if verify_gemm_tile(retry, a_sub, b_sub, self.alpha):
-            event("integrity.retry_ok", family=family, tile=index,
-                  j0=j0, i0=i0)
-            self.note_overhead(t0)
-            return retry
-        # rung 2: reference recompute — the caller always receives
-        # correct bits, whatever the kernel did
-        self.note("reference_recomputes")
-        ref_tile = (self.alpha * (a_sub @ b_sub)).T
-        # rung 3: strike the kernel; quarantine + demote at the limit
-        verdict = driver.integrity.record_corruption(
-            family, driver.kernel,
-            detail=f"tile ({j0},{i0}) mismatched twice on {worker}")
-        if report is not None and verdict.get("quarantined"):
-            report.quarantine(str(verdict.get("body_hash")))
-        self.note_overhead(t0)
-        return ref_tile
+        if self.report is not None:
+            self.report.note("tiles_checked")
+
+        def retry() -> np.ndarray:
+            # a fresh one-tile native call that packs its own B panel
+            # (heals transient bit-flips and dirty-scratch races; the
+            # fault plan is consulted again, so a persistent `corrupt`
+            # spec corrupts the retry too).  It adds into -0.0, the
+            # identity of IEEE addition, so it holds the tile's exact
+            # bits, sign of zero included
+            again = np.full((jn, im), -0.0)
+            self.native(np.array([(0, jn, jn_pad, 0, im, im_pad)],
+                                 dtype=np.int64), 0, 1, a_sub, b_sub, again)
+            if self.fault_at(index) == "corrupt":
+                corrupt_tile(again)
+            return again
+
+        return contain(
+            tile, lambda got: verify_gemm_tile(got, a_sub, b_sub, self.alpha),
+            retry, lambda: (self.alpha * (a_sub @ b_sub)).T,
+            lambda: (driver.family, driver.kernel), driver.integrity,
+            self.report, family=driver.family,
+            detail=f"tile ({j0},{i0}) mismatched twice on {worker}",
+            tile=index, j0=j0, i0=i0, worker=worker)
 
 
 def _trampoline(kernel, errors: List[BaseException]):
@@ -449,20 +427,6 @@ def _trampoline(kernel, errors: List[BaseException]):
         except BaseException as exc:  # noqa: BLE001 - ctypes would swallow it
             errors.append(exc)
     return KERNEL_FN(call)
-
-
-def _hook(hook: Callable, c_buf: np.ndarray, errors: List[BaseException]):
-    """``hook(index, c_buf)`` as a C callback; nonzero stops the loop."""
-    def call(index):
-        if errors:
-            return 1
-        try:
-            hook(index, c_buf)
-            return 0
-        except BaseException as exc:  # noqa: BLE001 - ctypes would swallow it
-            errors.append(exc)
-            return 1
-    return HOOK_FN(call)
 
 
 def make_gemm(arch=None, config=None, strategy: str = "auto",

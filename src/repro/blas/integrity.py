@@ -8,18 +8,24 @@ so a mismatch localizes to the (j0, i0) tile — and the worker thread —
 that produced it, at the same blocked granularity the last-mile
 literature uses for per-region correctness contracts.
 
-On a detected mismatch the containment ladder is:
+On a detected mismatch the containment ladder — one function,
+:func:`contain`, run by the GEMM tile path and :class:`IntegrityDriver`
+alike — is:
 
-1. **retry** the tile once as a fresh one-tile native GEBP call that
-   packs its own panels into freshly lent buffers (a bit-flip in a
-   pooled buffer or a race on a dirty scratch slice does not repeat);
-2. **recompute** the tile via numpy reference semantics if the retry
-   still mismatches, so the caller always receives correct bits;
+1. **retry** once: a GEMM tile as a fresh one-tile native GEBP call
+   that packs its own panels into freshly lent buffers (a bit-flip in a
+   pooled buffer or a race on a dirty scratch slice does not repeat), a
+   Level-1/2 call after restoring its in-place operand;
+2. **recompute** via numpy reference semantics if the retry still
+   mismatches, so the caller always receives correct bits;
 3. **record** a corruption verdict against the kernel's
    :attr:`~repro.core.framework.GeneratedKernel.body_hash` — after
    :data:`STRIKE_LIMIT` strikes the kernel is quarantined in the
    persistent store (the same record the tuner and dispatch chain
    consult) and its tier is demoted for the remainder of the process.
+
+Verification is a Python step after the compute: the native loop never
+calls back into it.
 
 The verification *mode* is ``off`` (default), ``sample`` (deterministic
 1-in-K call sampling, K from ``sample:K``), or ``full``; resolved from
@@ -29,9 +35,11 @@ checks through the one :class:`IntegrityDriver`, which reads each
 routine's identity off :data:`~repro.blas.routines.ROUTINES`.
 
 Everything observable lands in ``integrity.*`` counters/events (checks,
-mismatches, retries, reference_recomputes, quarantines, overhead_ns)
-plus the process-wide :data:`STATS` snapshot that the
-``python -m repro integrity show`` CLI renders.
+mismatches, retries, reference_recomputes, quarantines) plus the
+process-wide :data:`STATS` snapshot that the ``python -m repro integrity
+show`` CLI renders.  ``overhead_ns`` times the verification work only —
+checksums or identities, retries, reference recomputes — never the
+routine's own compute.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -355,8 +363,7 @@ class IntegrityChecker:
             from . import dispatch
             dispatch.demote_tier(arch.name, reason)
             verdict["demoted"] = True
-        STATS.add("quarantines")
-        incr("integrity.quarantines")
+        _tally("quarantines")
         event("integrity.quarantine", family=family, kernel=gk.name,
               body_hash=body_hash, strikes=strikes)
         if self.on_quarantine is not None:
@@ -368,6 +375,60 @@ class IntegrityChecker:
 
 
 # ---------------------------------------------------------------------------
+# the containment ladder (GEMM tiles and Level-1/2 calls alike)
+# ---------------------------------------------------------------------------
+
+def _tally(field: str, report: Optional[IntegrityReport] = None,
+           n: int = 1) -> None:
+    """Count ``n`` of ``field`` in :data:`STATS`, its ``integrity.*`` obs
+    counter (``overhead_ns`` has none) and ``report``."""
+    STATS.add(field, n)
+    if field != "overhead_ns":
+        incr(f"integrity.{field}", n)
+    if report is not None:
+        report.note(field, n)
+
+
+def contain(result, consistent: Callable[[Any], bool],
+            retry: Callable[[], Any], reference: Callable[[], Any],
+            culprit: Callable[[], Tuple[str, Any]],
+            checker: IntegrityChecker, report: Optional[IntegrityReport],
+            family: str, detail: str, setup_ns: int = 0, **fields):
+    """Check one computed ``result``; on a mismatch retry once, and if
+    the retry mismatches too, recompute through the reference and
+    strike the kernel that ran.  Returns the first consistent result,
+    else the reference's.
+
+    ``culprit()`` names the ``(family, kernel)`` to strike, with
+    ``detail``.  ``family`` and ``fields`` label the
+    ``integrity.mismatch`` and ``integrity.retry_ok`` events.
+    ``overhead_ns`` counts the ladder's own time plus ``setup_ns`` of
+    verification work done before the compute.
+    """
+    t0 = time.perf_counter_ns() - setup_ns
+    try:
+        _tally("checks")
+        if consistent(result):
+            return result
+        _tally("mismatches", report)
+        event("integrity.mismatch", family=family, **fields)
+        _tally("retries", report)
+        result = retry()
+        if consistent(result):
+            event("integrity.retry_ok", family=family, **fields)
+            return result
+        _tally("reference_recomputes", report)
+        result = reference()
+        struck, kernel = culprit()
+        verdict = checker.record_corruption(struck, kernel, detail=detail)
+        if report is not None and verdict.get("quarantined"):
+            report.quarantine(str(verdict.get("body_hash")))
+        return result
+    finally:
+        _tally("overhead_ns", report, time.perf_counter_ns() - t0)
+
+
+# ---------------------------------------------------------------------------
 # level-2/1 wrapper (sum-identity checks around the native drivers)
 # ---------------------------------------------------------------------------
 
@@ -375,13 +436,12 @@ class IntegrityDriver:
     """Sum-identity ABFT around one Level-1/2 driver, read off its row of
     :data:`~repro.blas.routines.ROUTINES`.
 
-    One sampling decision per call.  A sampled call checks the element
-    sum of its result against the row's identity, retries once (after
-    restoring the row's in-place operand), and otherwise strikes the
-    kernel that ran — under that kernel's own family, so the strike's
-    quarantine key is the one the dispatch loader consults — and
-    recomputes through the row's reference driver.  Everything else
-    delegates to the wrapped driver.
+    One sampling decision per call.  A sampled call runs the element
+    sum of its result through :func:`contain` against the row's
+    identity: the retry first restores the row's in-place operand, and
+    the strike lands on the kernel that ran — under that kernel's own
+    family, so the strike's quarantine key is the one the dispatch
+    loader consults.  Everything else delegates to the wrapped driver.
     """
 
     supports_integrity = True
@@ -409,63 +469,26 @@ class IntegrityDriver:
         target = call[row.inplace] if row.inplace else None
         saved = None if target is None else np.array(target,
                                                      dtype=np.float64)
+        setup_ns = time.perf_counter_ns() - t0
 
         def consistent(out) -> bool:
             return _sum_close(float(np.asarray(out).sum()), expected,
                               magnitude, n_terms)
 
-        out = inner(*args, **kwargs)
-        if consistent(out):
-            self._verified(report, t0, False, False)
-            return out
-        if target is not None:
-            target[...] = saved
-        out = inner(*args, **kwargs)
-        if consistent(out):
-            self._verified(report, t0, True, False)
-            return out
-        family, kernel = row.kernel_ran(inner, call)
-        self._corrupt(f"{row.name} sum identity violated twice", report,
-                      family, kernel)
-        if target is not None:
-            target[...] = saved
-        out = row.reference()(*args, **kwargs)
-        self._verified(report, t0, True, True)
-        return out
+        def rerun(driver):
+            if target is not None:
+                target[...] = saved
+            return driver(*args, **kwargs)
 
-    def _verified(self, report: Optional[IntegrityReport], t0: int,
-                  mismatched: bool, corrected: bool) -> None:
-        overhead = time.perf_counter_ns() - t0
-        STATS.add("checks")
-        STATS.add("overhead_ns", overhead)
-        incr("integrity.checks")
+        out = inner(*args, **kwargs)
         if report is not None:
             report.checked = True
-            report.note("overhead_ns", overhead)
-        if mismatched:
-            STATS.add("mismatches")
-            STATS.add("retries")
-            incr("integrity.mismatches")
-            incr("integrity.retries")
-            if report is not None:
-                report.note("mismatches")
-                report.note("retries")
-        if corrected:
-            STATS.add("reference_recomputes")
-            incr("integrity.reference_recomputes")
-            if report is not None:
-                report.note("reference_recomputes")
-
-    def _corrupt(self, detail: str, report: Optional[IntegrityReport],
-                 family: str, kernel) -> None:
-        event("integrity.mismatch", family=self.row.name,
-              detail=detail[:200])
-        if kernel is None:
-            return
-        verdict = self.integrity.record_corruption(family, kernel,
-                                                   detail=detail)
-        if report is not None and verdict.get("quarantined"):
-            report.quarantine(str(verdict.get("body_hash")))
+        return contain(out, consistent, lambda: rerun(inner),
+                       lambda: rerun(row.reference()),
+                       lambda: row.kernel_ran(inner, call), self.integrity,
+                       report, family=row.name,
+                       detail=f"{row.name} sum identity violated twice",
+                       setup_ns=setup_ns)
 
 
 def wrap_driver(family: str, driver, checker: IntegrityChecker):

@@ -71,6 +71,10 @@ EXIT_FAULT_CRASH = 86     # injected serve_crash (looks like any crash)
 #: cap on an injected stall, so a faulted worker always recovers
 STALL_CAP = 10.0
 
+#: the longest deadline a request may carry (one day); beyond it a
+#: deadline is malformed input, not a longer wait
+MAX_DEADLINE_MS = 24 * 3600 * 1000
+
 
 def default_runtime_dir() -> Path:
     """``$REPRO_SERVE_DIR`` > ``<cache root>/serve`` > per-uid tmp dir."""
@@ -389,6 +393,8 @@ class ServeWorker:
             return
         try:
             deadline_ms = int(header.get("deadline_ms", 1000))
+            if not 0 <= deadline_ms <= MAX_DEADLINE_MS:
+                raise ValueError(deadline_ms)
         except (TypeError, ValueError, OverflowError):
             send_frame(conn, error_response(
                 ERR_BAD_REQUEST,

@@ -197,7 +197,7 @@ def test_quarantine_roundtrip_and_clear(store):
     assert cache.stats.quarantine_hits == 1
     assert cache.inventory()["quarantined"] == 1
     # corrupt record fails closed: evicted, not served
-    cache._quarantine_path(key).write_text("{nope")
+    cache._record_path("quarantine", key).write_text("{nope")
     assert cache.load_quarantine(key) is None
     assert cache.load_quarantine(key) is None  # really gone
     cache.store_quarantine(key, {"error": "SIGILL"})

@@ -1,7 +1,7 @@
 """The native GEBP loop: its packing and loop order against the numpy
 layout spec, strided operands read in place, native kernels accumulating
-whole tiles straight into the result, and errors raised inside its
-callbacks.
+whole tiles straight into the result, and errors raised inside the
+kernel trampoline or the verification after the call.
 
 A recording kernel, reached through the driver's ctypes trampoline,
 sees every packed A block and B panel the C loop hands the micro-kernel;
@@ -58,10 +58,10 @@ def _round_up(x, mult):
     return -(-x // mult) * mult
 
 
-def _expected_calls(a, b, alpha, layout, hooked=False):
+def _expected_calls(a, b, alpha, layout):
     """The driver's kernel calls over its swapped operands, packed by
-    :mod:`repro.blas.packing`: column -> Kc slice -> tile, or, when a
-    per-tile hook is set, column -> tile -> Kc slice."""
+    :mod:`repro.blas.packing`, in the loop's one order: column -> Kc
+    slice -> tile."""
     pack_b = pack_b_dup if layout == "dup" else pack_b_shuf
     a, b = b.T, a.T
     (m, k), n = a.shape, b.shape[1]
@@ -71,17 +71,16 @@ def _expected_calls(a, b, alpha, layout, hooked=False):
     slices = range(0, k, kc)
     for j0 in range(0, n, nc):
         jn = min(nc, n - j0)
-        rows = range(0, m, mc)
-        order = ([(i0, l0) for i0 in rows for l0 in slices] if hooked
-                 else [(i0, l0) for l0 in slices for i0 in rows])
-        for i0, l0 in order:
-            im, ln = min(mc, m - i0), min(kc, k - l0)
-            im_pad, jn_pad, ln_pad = (_round_up(im, MU), _round_up(jn, NU),
-                                      _round_up(ln, KU))
-            yield (im_pad, jn_pad, ln_pad,
-                   pack_a(a[i0:i0 + im, l0:l0 + ln], im_pad, ln_pad,
-                          alpha=alpha),
-                   pack_b(b[l0:l0 + ln, j0:j0 + jn], ln_pad, jn_pad))
+        for l0 in slices:
+            for i0 in range(0, m, mc):
+                im, ln = min(mc, m - i0), min(kc, k - l0)
+                im_pad, jn_pad, ln_pad = (_round_up(im, MU),
+                                          _round_up(jn, NU),
+                                          _round_up(ln, KU))
+                yield (im_pad, jn_pad, ln_pad,
+                       pack_a(a[i0:i0 + im, l0:l0 + ln], im_pad, ln_pad,
+                              alpha=alpha),
+                       pack_b(b[l0:l0 + ln, j0:j0 + jn], ln_pad, jn_pad))
 
 
 def _operands(kind, m, n, k, rng):
@@ -112,8 +111,7 @@ def _check_packing(kind, alpha, layout, rng, integrity="off"):
                             integrity=integrity)
         got = driver(a, b, alpha=alpha)
         assert np.allclose(got, alpha * (a @ b)), (kind, m, n, k)
-        expected = list(_expected_calls(a, b, alpha, layout,
-                                        hooked=integrity == "full"))
+        expected = list(_expected_calls(a, b, alpha, layout))
         assert len(kernel.calls) == len(expected)
         for call, want in zip(kernel.calls, expected):
             assert call[:3] == want[:3]
@@ -132,9 +130,9 @@ def test_native_packing_matches_the_numpy_packers(kind, alpha, layout, rng):
 
 @pytest.mark.parametrize("layout", ["dup", "shuf"])
 @pytest.mark.parametrize("kind", ["C", "sliced"])
-def test_checked_calls_run_tile_by_tile(kind, layout, rng):
-    # with the ABFT hook set, each tile runs all its Kc slices before the
-    # next tile starts, so the hook sees the tile's whole product
+def test_checked_calls_hand_the_kernel_the_same_calls(kind, layout, rng):
+    # verification runs after the native call, so a checked call packs
+    # and calls the kernel exactly as an unchecked one does
     _check_packing(kind, -1.0, layout, rng, integrity="full")
 
 
@@ -187,6 +185,8 @@ def test_kernel_exception_is_reraised_after_the_call(rng):
 
 
 def test_hook_exception_is_reraised_after_the_call(rng, monkeypatch):
+    # the checks run after the native call; an exception raised there
+    # reaches the caller with no workspace left lent
     def broken(*args, **kwargs):
         raise _Boom("checksum failed to run")
 
@@ -195,8 +195,6 @@ def test_hook_exception_is_reraised_after_the_call(rng, monkeypatch):
     driver = GemmDriver(kernel, blocks=BLOCKS, threads=1, integrity="full")
     with pytest.raises(_Boom, match="checksum"):
         driver(rng.standard_normal((20, 20)), rng.standard_normal((20, 20)))
-    # the hook stopped the loop at the first tile
-    assert len(kernel.calls) == 3
     assert driver.pack_pool.outstanding == 0
 
 
@@ -334,3 +332,13 @@ def test_native_direct_path_is_bit_identical_across_threads(blas, rng):
                 assert checked.tobytes() == got[0].tobytes(), (m, n, k, beta)
             else:
                 assert _within_bound(checked, got[0], k), (m, n, k, beta)
+        if k > kc:
+            # a checked call verifies the bare product, then adds beta*C
+            for threads in (1, 3):
+                product = driver(a, b, threads=threads)
+                for beta in (1.0, -0.5):
+                    checked = driver(a, b, c, beta=beta, threads=threads,
+                                     integrity="full")
+                    want = product + beta * c
+                    assert checked.tobytes() == want.tobytes(), \
+                        (m, n, k, beta, threads)

@@ -19,6 +19,8 @@ Four layers of proof:
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -477,6 +479,27 @@ def test_ger_wrapper_clean_and_nonfinite_are_not_flagged(rng):
     with np.errstate(invalid="ignore"):
         driver(1.25, x, y, rng.standard_normal((6, 11)))
     assert STATS.snapshot()["mismatches"] == 0
+
+
+class _SlowAxpy:
+    """A correct in-place axpy that takes 50 ms per call."""
+
+    tier = "native"
+
+    def __call__(self, alpha, x, y):
+        time.sleep(0.05)
+        y += alpha * x
+        return y
+
+
+def test_overhead_counts_verification_not_the_routine(rng):
+    driver = wrap_driver("axpy", _SlowAxpy(), IntegrityChecker(mode="full"))
+    report = IntegrityReport()
+    x, y = rng.standard_normal(64), rng.standard_normal(64)
+    driver(0.5, x, y, integrity_report=report)
+    assert report.checked and report.mismatches == 0
+    assert 0 < report.overhead_ns < 25_000_000
+    assert STATS.snapshot()["overhead_ns"] == report.overhead_ns
 
 
 def test_dger_advances_the_sample_counter_by_exactly_one(rng):

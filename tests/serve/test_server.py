@@ -154,10 +154,12 @@ class TestAdmission:
         with SegmentSet() as segments:
             _view, ref = segments.add((4,), fill=np.ones(4))
             bad = _scal_header(ref, client="c")
-            bad["deadline_ms"] = "soon"
-            for _ in range(2):   # two of these once locked "c" out
-                reply = rpc(config.socket_path, bad)
-                assert reply["error"]["code"] == ERR_BAD_REQUEST
+            # one too long to wait on must not hold a quota slot either
+            for deadline in ("soon", 10**13, -1):
+                bad["deadline_ms"] = deadline
+                for _ in range(2):   # two of these once locked "c" out
+                    reply = rpc(config.socket_path, bad)
+                    assert reply["error"]["code"] == ERR_BAD_REQUEST
             assert worker.quotas.totals()["inflight"] == 0
             assert rpc(config.socket_path,
                        _scal_header(ref, client="c"))["ok"]
