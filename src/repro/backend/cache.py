@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import atexit
 import hashlib
-import json
 import os
 import shutil
 import tempfile
@@ -50,6 +49,13 @@ _DISABLED_VALUES = {"off", "none", "0", "disabled", "false"}
 ENTRY_VERSION = 2
 
 _SIZE_SUFFIXES = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30, "t": 1 << 40}
+
+#: the store's artifact trees: directory, the glob matching one artifact,
+#: and the ``inventory()`` field that counts them
+_KINDS = (("objects", "*/*/meta.json", "entries"),
+          ("tuning", "**/*.json", "tuning_records"),
+          ("quarantine", "**/*.json", "quarantined"),
+          ("sessions", "*/manifest.json", "sessions"))
 
 
 def parse_bytes(text: str) -> Optional[int]:
@@ -121,6 +127,67 @@ class CacheStats:
             f"retries={self.toolchain_retries} "
             f"build time={self.build_seconds:.2f}s"
         )
+
+
+def check_entry(entry: Path, digest: bool = False) -> Path:
+    """Verify one compiled-object entry; returns its shared object.
+
+    The one validity rule for ``objects/``: :meth:`KernelCache.lookup_so`
+    checks the recorded size on every disk hit, and ``cache scrub`` adds
+    the SHA-256 recorded at publish (``digest=True``).  Raises
+    ``FileNotFoundError`` when there is no entry and
+    :class:`~repro.backend.fsio.RecordError` naming the defect of one
+    that cannot be served.
+    """
+    try:
+        meta = fsio.read_record(entry / "meta.json", ENTRY_VERSION)
+    except FileNotFoundError:
+        # publish renames a directory that already holds its meta, so an
+        # entry without one is damage — and would block every re-publish
+        if entry.is_dir():
+            raise fsio.RecordError("meta.json missing") from None
+        raise
+    except fsio.RecordError as exc:
+        raise fsio.RecordError(f"meta.json {exc}") from None
+    so_name = meta.get("so")
+    if not isinstance(so_name, str) or not so_name:
+        raise fsio.RecordError("meta.json names no shared object")
+    so_path = entry / so_name
+    try:
+        size = so_path.stat().st_size
+    except OSError as exc:
+        raise fsio.RecordError(f"shared object unreadable: {exc}") from None
+    if size != meta.get("so_size") or size == 0:
+        raise fsio.RecordError(f"shared object truncated "
+                               f"({size} != {meta.get('so_size')} bytes)")
+    if digest:
+        recorded = meta.get("so_sha256")
+        if not isinstance(recorded, str) or len(recorded) != 64:
+            # every current-version entry records a digest at publish: an
+            # absent or malformed one means the *meta* itself rotted
+            raise fsio.RecordError(
+                f"meta.json digest field invalid: {recorded!r}")
+        try:
+            found = hashlib.sha256(so_path.read_bytes()).hexdigest()
+        except OSError as exc:
+            raise fsio.RecordError(
+                f"shared object unreadable: {exc}") from None
+        if found != recorded:
+            raise fsio.RecordError(
+                f"shared object digest mismatch ({found[:12]}…)")
+    return so_path
+
+
+def read_cache_record(path: Path, kind: str) -> Dict[str, Any]:
+    """Load one ``tuning``/``quarantine`` record, or raise as
+    :func:`~repro.backend.fsio.read_record` does.  A tuning record also
+    needs a numeric ``gflops``: the tuner reuses it as a measurement."""
+    record = fsio.read_record(path)
+    gflops = record.get("gflops")
+    if kind == "tuning" and (isinstance(gflops, bool)
+                             or not isinstance(gflops, (int, float))):
+        raise fsio.RecordError(f"gflops {gflops!r} is not a number")
+    return record
 
 
 def cache_root() -> Optional[Path]:
@@ -230,34 +297,28 @@ class KernelCache:
     def lookup_so(self, key: str) -> Optional[Path]:
         """Return the cached ``.so`` path for ``key``, or ``None``.
 
-        Any malformed entry (missing meta, wrong version, missing or
-        truncated object) is evicted so the caller rebuilds cleanly.
+        Any entry :func:`check_entry` rejects (torn meta, wrong version,
+        missing or truncated object) is evicted so the caller rebuilds
+        cleanly.
         """
         if not self.enabled:
             return None
         entry = self._entry_dir(key)
-        meta_path = entry / "meta.json"
         try:
-            meta = json.loads(meta_path.read_text())
-            if meta.get("version") != ENTRY_VERSION:
-                raise ValueError(f"entry version {meta.get('version')!r}")
-            so_path = entry / meta["so"]
-            size = so_path.stat().st_size
-            if size != meta["so_size"] or size == 0:
-                raise ValueError("shared object truncated")
-            try:
-                # LRU stamp for the quota GC: a disk hit refreshes the
-                # entry's meta mtime, so eviction order tracks last use
-                os.utime(meta_path)
-            except OSError:
-                pass
-            return so_path
-        except (FileNotFoundError, NotADirectoryError):
+            so_path = check_entry(entry)
+        except FileNotFoundError:
             return None
-        except Exception:
+        except fsio.RecordError:
             self.stats.errors += 1
             self.evict(key)
             return None
+        try:
+            # LRU stamp for the quota GC: a disk hit refreshes the
+            # entry's meta mtime, so eviction order tracks last use
+            os.utime(entry / "meta.json")
+        except OSError:
+            pass
+        return so_path
 
     def publish_so(self, key: str, workdir: Path, so_name: str,
                    meta: Optional[Dict[str, Any]] = None) -> Optional[Path]:
@@ -345,10 +406,10 @@ class KernelCache:
             return None
         path = self._record_path(kind, key)
         try:
-            record = json.loads(path.read_text())
-        except (FileNotFoundError, NotADirectoryError):
+            record = read_cache_record(path, kind)
+        except FileNotFoundError:
             return None
-        except Exception:
+        except fsio.RecordError:
             self.stats.errors += 1
             try:
                 path.unlink()
@@ -365,12 +426,10 @@ class KernelCache:
                       record: Dict[str, Any]) -> None:
         if not self.enabled:
             return
-        path = self._record_path(kind, key)
-        try:
-            with self._locked(kind):
-                path.parent.mkdir(parents=True, exist_ok=True)
-                fsio.atomic_write_json(path, record, tag=f"cache.{kind}")
-        except OSError:
+        with self._locked(kind):
+            written = fsio.write_record(self._record_path(kind, key),
+                                        record, tag=f"cache.{kind}")
+        if not written:
             self.stats.errors += 1
             return
         setattr(self.stats, f"{kind}_puts",
@@ -384,25 +443,9 @@ class KernelCache:
         if not self.enabled or not self.root.exists():
             return 0
         removed = 0
-        objects = self.root / "objects"
-        if objects.exists():
-            for shard in objects.iterdir():
-                for entry in (shard.iterdir() if shard.is_dir() else ()):
-                    self._rmtree(entry, "cache.clear")
-                    removed += 1
-            self._rmtree(objects, "cache.clear")
-        tuning = self.root / "tuning"
-        if tuning.exists():
-            removed += sum(1 for p in tuning.rglob("*.json"))
-            self._rmtree(tuning, "cache.clear")
-        quarantine = self.root / "quarantine"
-        if quarantine.exists():
-            removed += sum(1 for p in quarantine.rglob("*.json"))
-            self._rmtree(quarantine, "cache.clear")
-        sessions = self.root / "sessions"
-        if sessions.exists():
-            removed += sum(1 for p in sessions.iterdir() if p.is_dir())
-            self._rmtree(sessions, "cache.clear")
+        for kind, pattern, _ in _KINDS:
+            removed += sum(1 for _ in (self.root / kind).glob(pattern))
+            self._rmtree(self.root / kind, "cache.clear")
         self._rmtree(self.root / "tmp", "cache.clear")
         self._rmtree(self.root / "locks", "cache.clear")
         stats_path = self.root / "stats.json"
@@ -479,23 +522,13 @@ class KernelCache:
             info["headroom_bytes"] = budget
         if not self.enabled or not self.root.exists():
             return info
-        objects = self.root / "objects"
-        if objects.exists():
-            for meta in objects.glob("*/*/meta.json"):
-                info["entries"] += 1
-                info["bytes"] += sum(
-                    f.stat().st_size for f in meta.parent.iterdir()
-                    if f.is_file())
-        tuning = self.root / "tuning"
-        if tuning.exists():
-            info["tuning_records"] = sum(1 for _ in tuning.rglob("*.json"))
-        quarantine = self.root / "quarantine"
-        if quarantine.exists():
-            info["quarantined"] = sum(1 for _ in quarantine.rglob("*.json"))
-        sessions = self.root / "sessions"
-        if sessions.exists():
-            info["sessions"] = sum(1 for p in sessions.iterdir()
-                                   if p.is_dir())
+        for kind, pattern, field_name in _KINDS:
+            info[field_name] = sum(1 for _ in
+                                   (self.root / kind).glob(pattern))
+        info["bytes"] = sum(
+            f.stat().st_size
+            for meta in self.root.glob("objects/*/*/meta.json")
+            for f in meta.parent.iterdir() if f.is_file())
         if budget is not None:
             info["headroom_bytes"] = budget - info["bytes"]
         return info
@@ -506,12 +539,17 @@ class KernelCache:
         """Persisted totals across all processes, plus this process."""
         total = CacheStats()
         if self.enabled:
-            try:
-                total.merge(json.loads((self.root / "stats.json").read_text()))
-            except (OSError, ValueError):
-                pass
+            total.merge(self._read_stats())
         total.merge(asdict(self.stats))
         return total
+
+    def _read_stats(self) -> Dict[str, Any]:
+        """``stats.json``, or ``{}`` when absent or corrupt (the next
+        flush rewrites it)."""
+        try:
+            return fsio.read_record(self.root / "stats.json")
+        except (FileNotFoundError, fsio.RecordError):
+            return {}
 
     def flush_stats(self) -> None:
         """Merge this process's counters into ``stats.json`` (idempotent)."""
@@ -521,24 +559,19 @@ class KernelCache:
         if not any(live.values()):
             return
         self._flushed = True
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            path = self.root / "stats.json"
-            # read-merge-write must be serialized across processes, or a
-            # concurrent tuner's counters are silently dropped
-            with self._locked("stats"):
-                merged = CacheStats()
-                try:
-                    merged.merge(json.loads(path.read_text()))
-                except (OSError, ValueError):
-                    pass
-                merged.merge(live)
-                fsio.atomic_write_json(path, asdict(merged),
-                                       tag="cache.stats")
-        except OSError as exc:
+        # read-merge-write must be serialized across processes, or a
+        # concurrent tuner's counters are silently dropped
+        with self._locked("stats"):
+            merged = CacheStats()
+            merged.merge(self._read_stats())
+            merged.merge(live)
+            written = fsio.write_record(self.root / "stats.json",
+                                        asdict(merged), tag="cache.stats")
+        if not written:
             # stats are best-effort; never fail the build over them —
-            # but a swallowed failure is still counted and surfaced
-            self._io_error(exc, "cache.stats")
+            # but a failed flush is still counted and surfaced
+            self.stats.io_errors += 1
+            incr("cache.io_error")
 
 
 _CACHE: Optional[KernelCache] = None

@@ -1,11 +1,15 @@
-"""Durable disk writes and process-wide disk-health degradation.
+"""Durable disk writes, versioned JSON records, and disk-health degradation.
 
-Every persistent artifact this runtime leans on — cache ``meta.json``
-records, tuning/quarantine JSON, session manifests and journals, the
-serve ``state.json``/``accounting.json`` pair, the dispatch verdict
-store — used to roll its own
-tempfile-and-``os.replace`` publish, with no fsync and no shared answer
-to ENOSPC.  This module centralizes both:
+Every persistent JSON store this runtime leans on — cache ``meta.json``
+entries, tuning/quarantine records, ``stats.json``, session manifests,
+the dispatch verdict store, the serve ``state.json``/``accounting.json``
+pair — goes through this module:
+
+- :func:`read_record` / :func:`write_record` — the one reader and the
+  one writer of every JSON-object store.  What else makes a record of a
+  store valid lives next to the store's writer (``cache.check_entry``,
+  ``cache.read_cache_record``, ``dispatch.read_verdict_store``,
+  ``TuningSession.open``), and its loader and ``cache scrub`` share it;
 
 - :func:`atomic_write_bytes` / :func:`atomic_write_text` /
   :func:`atomic_write_json` — pid+uuid-suffixed temp file in the target
@@ -194,3 +198,53 @@ def atomic_write_json(path: Union[str, Path], record: Any,
                       tag: str = "write", indent: int = 2) -> None:
     atomic_write_bytes(path, json.dumps(record, indent=indent).encode(),
                        tag=tag)
+
+
+class RecordError(ValueError):
+    """A JSON record that exists but cannot be trusted; the message names
+    the defect."""
+
+
+def read_record(path: Union[str, Path],
+                version: Optional[int] = None) -> dict:
+    """Load one JSON-object record.
+
+    Raises ``FileNotFoundError`` when the record is absent (a missing
+    parent directory counts as absent) and :class:`RecordError` when it
+    cannot be read, is not a JSON object, or — with ``version`` given —
+    carries another ``version`` field.
+    """
+    try:
+        record = json.loads(Path(path).read_text())
+    except NotADirectoryError as exc:
+        raise FileNotFoundError(str(exc)) from exc
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError) as exc:
+        raise RecordError(f"unreadable: {exc}") from exc
+    if not isinstance(record, dict):
+        raise RecordError("not a JSON object")
+    if version is not None and record.get("version") != version:
+        raise RecordError(f"version {record.get('version')!r} "
+                          f"(current {version})")
+    return record
+
+
+def write_record(path: Union[str, Path], record: Any, tag: str) -> bool:
+    """Durably publish one JSON record, best effort.
+
+    Skipped while the disk is degraded; creates the parent directory;
+    ``tag`` names the durable-write checkpoints.  Returns ``False`` when
+    nothing was written — every ``OSError`` is absorbed (and noted, so a
+    sick disk still degrades the process).
+    """
+    if disk_degraded() is not None:
+        return False
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        atomic_write_json(path, record, tag=tag)
+    except OSError as exc:
+        note_disk_error(exc, tag)
+        return False
+    return True

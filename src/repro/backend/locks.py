@@ -44,6 +44,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from ..obs import incr
+from .fsio import RecordError, read_record
 
 #: default seconds a waiter polls before raising :class:`LockTimeout`
 DEFAULT_TIMEOUT = 10.0
@@ -96,10 +97,13 @@ class FileLock:
                            "time": time.time()})
 
     def _read_holder(self) -> Optional[Dict[str, Any]]:
+        """The holder payload; ``None`` when unreadable or its ``pid`` is
+        not an integer (then only the lock's age can mark it stale)."""
         try:
-            return json.loads(self.path.read_text())
-        except (OSError, ValueError):
+            holder = read_record(self.path)
+        except (OSError, RecordError):
             return None
+        return holder if type(holder.get("pid", 0)) is int else None
 
     def _lock_age(self, holder: Optional[Dict[str, Any]]) -> float:
         """Age in seconds, preferring the recorded time over mtime."""
@@ -114,7 +118,7 @@ class FileLock:
         holder = self._read_holder()
         age = self._lock_age(holder)
         if holder is not None and holder.get("host") == socket.gethostname():
-            alive = pid_alive(int(holder.get("pid", 0) or 0))
+            alive = pid_alive(holder.get("pid", 0))
             if alive is False:
                 return True
             if alive is True:

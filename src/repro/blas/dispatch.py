@@ -36,7 +36,6 @@ numerically correct answer — degraded, never wrong.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from dataclasses import dataclass, field, replace
@@ -154,6 +153,17 @@ _VERDICTS_REVISION = 0
 VERDICT_STORE_VERSION = 2
 
 
+def read_verdict_store(path: Union[str, Path]) -> dict:
+    """Load the verdict store, or raise as ``fsio.read_record`` does.
+    Valid means the current ``version`` and a ``verdicts`` object — the
+    rule :func:`load_tier_verdicts` and ``cache scrub`` share.  A store
+    of another toolchain is valid, just not adopted."""
+    record = fsio.read_record(path, VERDICT_STORE_VERSION)
+    if not isinstance(record.get("verdicts"), dict):
+        raise fsio.RecordError("no verdicts object")
+    return record
+
+
 def reset_dispatch_state() -> None:
     """Forget memoized probe/admission verdicts (tests)."""
     global _PROBES_RUN, _VERDICTS_REVISION
@@ -232,18 +242,12 @@ def save_tier_verdicts(path: Union[str, Path]) -> int:
         verdicts = {name: list(v) for name, v in _TIER_VERDICTS.items()}
     if not verdicts:
         return 0
-    path = Path(path)
-    if fsio.disk_degraded() is not None:
-        return 0  # in-memory-only mode: verdicts stay memoized in-process
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fsio.atomic_write_json(path, {"version": VERDICT_STORE_VERSION,
-                                      "toolchain": _toolchain_fingerprint(),
-                                      "verdicts": verdicts},
-                               tag="dispatch.verdicts")
-    except OSError:
-        return 0
-    return len(verdicts)
+    # a degraded disk skips the write: verdicts stay memoized in-process
+    written = fsio.write_record(path, {"version": VERDICT_STORE_VERSION,
+                                       "toolchain": _toolchain_fingerprint(),
+                                       "verdicts": verdicts},
+                                tag="dispatch.verdicts")
+    return len(verdicts) if written else 0
 
 
 def load_tier_verdicts(path: Union[str, Path]) -> int:
@@ -255,17 +259,14 @@ def load_tier_verdicts(path: Union[str, Path]) -> int:
     wholesale — stale verdicts must be re-proved, not trusted.
     """
     try:
-        record = json.loads(Path(path).read_text())
-        if record.get("version") != VERDICT_STORE_VERSION:
-            return 0
-        if record.get("toolchain") != _toolchain_fingerprint():
-            return 0
-        verdicts = record["verdicts"]
-    except (OSError, ValueError, KeyError, TypeError):
+        record = read_verdict_store(path)
+    except (FileNotFoundError, fsio.RecordError):
+        return 0
+    if record.get("toolchain") != _toolchain_fingerprint():
         return 0
     adopted = 0
     with _VERDICT_LOCK:
-        for name, verdict in verdicts.items():
+        for name, verdict in record["verdicts"].items():
             try:
                 ok, detail = bool(verdict[0]), str(verdict[1])
             except (TypeError, IndexError):

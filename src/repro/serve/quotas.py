@@ -14,7 +14,6 @@ Thread-safe: connection threads admit, compute threads release.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -148,9 +147,5 @@ class QuotaBook:
         self.sealed_at = time.time()
         record = {"sealed_at": self.sealed_at, "pid": os.getpid(),
                   "clients": self.snapshot(), "totals": self.totals()}
-        path = Path(path)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fsio.atomic_write_json(path, record, tag="serve.accounting")
-        except OSError:
-            pass  # accounting is best-effort; never block the drain
+        # accounting is best-effort; never block the drain
+        fsio.write_record(path, record, tag="serve.accounting")

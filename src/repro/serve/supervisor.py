@@ -23,7 +23,6 @@ phase, and restart count; ``serve status`` and the test suite read it.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import socket
@@ -34,7 +33,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..backend import fsio
-
+from ..backend.locks import pid_alive
 from ..obs import event, incr
 from .protocol import PROTOCOL_VERSION, recv_frame, send_frame
 from .server import ServeConfig
@@ -54,29 +53,24 @@ def state_path(runtime_dir: Path) -> Path:
 
 
 def read_state(runtime_dir: Path) -> Optional[Dict[str, Any]]:
+    """The supervisor's ``state.json``; ``None`` when absent or corrupt.
+
+    A ``supervisor_pid`` that is not a positive integer is corrupt too:
+    ``stop`` signals that pid, and ``kill(-1, …)`` reaches every process
+    the user owns.
+    """
     try:
-        return json.loads(state_path(runtime_dir).read_text())
-    except (OSError, ValueError):
+        state = fsio.read_record(state_path(runtime_dir))
+    except (FileNotFoundError, fsio.RecordError):
         return None
+    pid = state.get("supervisor_pid")
+    if pid is not None and (type(pid) is not int or pid <= 0):
+        return None
+    return state
 
 
 def _write_state(runtime_dir: Path, **fields: Any) -> None:
-    path = state_path(runtime_dir)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fsio.atomic_write_json(path, fields, tag="serve.state")
-    except OSError:
-        pass
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
+    fsio.write_record(state_path(runtime_dir), fields, tag="serve.state")
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +240,7 @@ def start(config: ServeConfig, foreground: bool = False) -> int:
     state = read_state(config.runtime_dir)
     if state and state.get("phase") in ("running", "stopping"):
         pid = state.get("supervisor_pid")
-        if pid and _pid_alive(int(pid)) and ping(config.socket_path):
+        if pid and pid_alive(pid) is not False and ping(config.socket_path):
             print(f"already serving on {config.socket_path} "
                   f"(supervisor pid {pid})")
             return 0
@@ -285,17 +279,17 @@ def stop(runtime_dir: Path, timeout: float = 35.0) -> int:
     """SIGTERM the supervisor (graceful drain) and wait for it to exit."""
     state = read_state(runtime_dir)
     pid = state.get("supervisor_pid") if state else None
-    if not pid or not _pid_alive(int(pid)):
+    if not pid or pid_alive(pid) is False:
         print("not running")
         return 2
     try:
-        os.kill(int(pid), signal.SIGTERM)
+        os.kill(pid, signal.SIGTERM)
     except OSError as exc:
         print(f"signal failed: {exc}", file=sys.stderr)
         return 1
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if not _pid_alive(int(pid)):
+        if pid_alive(pid) is False:
             print("stopped (drained)")
             return 0
         time.sleep(0.05)
@@ -317,7 +311,8 @@ def drain(config: ServeConfig, timeout: float = 35.0) -> int:
         pid = state.get("supervisor_pid") if state else None
         if pid:
             deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline and _pid_alive(int(pid)):
+            while (time.monotonic() < deadline
+                   and pid_alive(pid) is not False):
                 time.sleep(0.05)
         return 0
     return stop(config.runtime_dir, timeout=timeout)
@@ -327,7 +322,7 @@ def status(config: ServeConfig) -> int:
     """Print supervisor + worker health; exit 0 healthy, 2 down."""
     state = read_state(config.runtime_dir) or {}
     sup_pid = state.get("supervisor_pid")
-    sup_alive = bool(sup_pid and _pid_alive(int(sup_pid)))
+    sup_alive = bool(sup_pid) and pid_alive(sup_pid) is not False
     reply = rpc(config.socket_path,
                 {"op": "status", "v": PROTOCOL_VERSION}, timeout=3.0)
     print(f"runtime dir : {config.runtime_dir}")

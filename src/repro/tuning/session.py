@@ -81,10 +81,6 @@ def search_key(kernel_key: str, arch_name: str, batches: int,
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
-def _atomic_write_json(path: Path, record: Dict[str, Any]) -> None:
-    fsio.atomic_write_json(path, record, tag="session.manifest")
-
-
 @dataclass
 class TrialRecord:
     """One journaled trial, exactly as the search recorded it."""
@@ -185,13 +181,16 @@ class TuningSession:
 
     @classmethod
     def open(cls, path: Path) -> Optional["TuningSession"]:
-        """Load a session from disk; ``None`` when unreadable/foreign."""
+        """Load a session from disk; ``None`` when absent, unreadable,
+        foreign or without an ``id`` — the one manifest rule ``cache
+        scrub`` applies too."""
         path = Path(path)
         try:
-            manifest = json.loads((path / "manifest.json").read_text())
-        except (OSError, ValueError):
+            manifest = fsio.read_record(path / "manifest.json",
+                                        SESSION_VERSION)
+        except (FileNotFoundError, fsio.RecordError):
             return None
-        if manifest.get("version") != SESSION_VERSION:
+        if not isinstance(manifest.get("id"), str):
             return None
         return cls(path, manifest)
 
@@ -219,14 +218,11 @@ class TuningSession:
               trials_done=self.manifest.get("trials_done", 0))
 
     def _write_manifest(self) -> None:
-        if fsio.disk_degraded() is not None:
-            return  # in-memory-only mode: stop touching the disk
-        try:
-            self.path.mkdir(parents=True, exist_ok=True)
-            _atomic_write_json(self.manifest_path, self.manifest)
-        except OSError:
+        # sessions are best-effort; never fail the search (a degraded
+        # disk skips the write: in-memory-only mode)
+        if fsio.disk_degraded() is None and not fsio.write_record(
+                self.manifest_path, self.manifest, tag="session.manifest"):
             incr("session.io_error")
-            # sessions are best-effort; never fail the search
 
     # -- the write-ahead journal -------------------------------------------
 
