@@ -1,8 +1,22 @@
-"""Native GEBP: the C macro loop around the generated micro-kernel.
+"""Native GEMM: the tile plan and the C macro loop around the generated
+micro-kernel.
 
-Goto's GEBP (paper §4.1) as one C entry point, ``augem_gebp``.  It runs
-a contiguous range of the driver's macro-tile list in Goto's loop order,
-column -> Kc slice -> A block: for every column of the range it
+Goto's GEBP (paper §4.1) as one C entry point, ``augem_gemm``.  Python
+plans nothing per call: it passes the (swapped) shape, the operands'
+addresses, the rounded block sizes, ``alpha``, a ``(thread, nthreads)``
+pair and one pooled workspace, and C owns the rest.
+
+**The tiling rule.**  The ``m x n`` result is cut into ``mc x nc``
+macro-tiles, numbered column by column: tile ``t`` is column
+``t / mtiles`` and row ``t % mtiles`` of the grid, where ``mtiles =
+ceil(m / mc)``.  Call ``thread`` of ``nthreads`` runs tiles
+``[ntiles*thread/nthreads, ntiles*(thread+1)/nthreads)``, so the calls
+of one GEMM cover each tile exactly once.  :func:`tiles` states the
+same rule in Python, for the fault plan and the ABFT ladder of
+:mod:`repro.blas.gemm`.
+
+**The loop** runs a range in Goto's order, column -> Kc slice -> A
+block: for every column of the range it
 
 1. packs the column's B panels once (``dup``: ``B[j*Kc + l]``,
    ``shuf``: ``B[l*Nc + j]``), then, for each Kc slice in ascending
@@ -28,9 +42,9 @@ broadcast operands need no copy.  The layouts and the zero padding are
 exactly those of :mod:`repro.blas.packing`, which stays the layout
 specification and the test oracle.
 
-The loop has no other order and calls back into nothing but the
-kernel: fault injection and ABFT verification run in Python on the
-finished tiles after the call returns (:mod:`repro.blas.gemm`).
+The loop calls back into nothing but the kernel: fault injection and
+ABFT verification run in Python on the finished tiles after the call
+returns (:mod:`repro.blas.gemm`).
 
 The source is built once per process with plain ``-O2`` — no
 ``-march``, no fast-math, so every multiply and add is the same IEEE
@@ -42,6 +56,7 @@ generates its kernel; :func:`gebp_function` waits for it.
 from __future__ import annotations
 
 import ctypes
+import struct
 import threading
 from typing import Optional
 
@@ -54,9 +69,19 @@ GEBP_C = r"""
 typedef void (*gebp_kernel)(long, long, long, double *, double *, double *,
                             long);
 
+/* augem_gemm's parameter block: int64 values in this order */
+enum { P_M, P_N, P_K, P_MC, P_NC, P_KC, P_MU, P_NU, P_KU,
+       P_AS0, P_AS1, P_BS0, P_BS1, P_OS0, P_OS1,
+       P_SHUF, P_DIRECT, P_THREAD, P_NTHREADS };
+
 static long round_up(long x, long mult)
 {
     return (x + mult - 1) / mult * mult;
+}
+
+static long min_long(long x, long y)
+{
+    return x < y ? x : y;
 }
 
 /* dst[r*ld + c] = scale * src[r*rs + c*cs] for r < rows, c < cols; zero
@@ -103,57 +128,62 @@ static void add_tile(double *out, long os0, long os1, const double *c,
     }
 }
 
-/* tiles[6*t ...] = (j0, jn, jn_pad, i0, im, im_pad) of C^T = a @ b, where
-   a is m x k and b is k x n; out is indexed [j, i].  b_buf holds every
-   Kc panel of one column, each starting on a 64-byte boundary.
+/* out += a @ b over range p[P_THREAD] of p[P_NTHREADS] of the
+   column-major mc x nc tile grid, where a is m x k and b is k x n; out
+   is indexed [j, i].
 
-   The range runs in groups: the run of tiles that share a column.  A
-   group's column is packed once, then each Kc slice in ascending order
-   serves every tile of the group.  A whole tile of a native kernel
-   (direct) accumulates each slice straight into out; any other tile
-   goes through c_buf once per slice. */
-void augem_gebp(gebp_kernel kernel, int shuf, int direct, const long *tiles,
-                long first, long count,
-                const double *a, long as0, long as1,
-                const double *b, long bs0, long bs1,
-                double *out, long os0, long os1,
-                long k, long kc, long ku, double alpha,
-                double *a_buf, double *b_buf, double *c_buf)
+   ws holds the A block, then every Kc panel of one column of B, then
+   the scratch tile, each starting on a 64-byte boundary.  The range
+   runs in groups: the run of its tiles that share a column.  A group's
+   column is packed once, then each Kc slice in ascending order serves
+   every tile of the group.  A whole tile of a native kernel (direct)
+   accumulates each slice straight into out; any other tile goes
+   through the scratch tile once per slice. */
+void augem_gemm(gebp_kernel kernel, const double *a, const double *b,
+                double *out, double *ws, const long *p, double alpha)
 {
-    long packed_j0 = -1, t = first, stop = first + count;
-    while (t < stop) {
-        const long *tile = tiles + 6 * t;
-        long j0 = tile[0], jn = tile[1], jn_pad = tile[2];
-        long end = t + 1, l0;
-        double *panel;
+    long m = p[P_M], n = p[P_N], k = p[P_K];
+    long mc = p[P_MC], nc = p[P_NC], kc = p[P_KC];
+    long mu = p[P_MU], nu = p[P_NU], ku = p[P_KU];
+    long as0 = p[P_AS0], as1 = p[P_AS1], bs0 = p[P_BS0], bs1 = p[P_BS1];
+    long os0 = p[P_OS0], os1 = p[P_OS1];
+    long mtiles = (m + mc - 1) / mc, ntiles = mtiles * ((n + nc - 1) / nc);
+    long t = ntiles * p[P_THREAD] / p[P_NTHREADS];
+    long stop = ntiles * (p[P_THREAD] + 1) / p[P_NTHREADS];
+    double *a_buf = ws, *b_buf = ws + round_up(mc * kc, 8), *c_buf = b_buf;
+    long l0;
 
-        while (end < stop && tiles[6 * end] == j0) end++;
-        if (j0 != packed_j0) {
-            panel = b_buf;
-            for (l0 = 0; l0 < k; l0 += kc) {
-                long ln = k - l0 < kc ? k - l0 : kc, ln_pad = round_up(ln, ku);
-                const double *src = b + l0 * bs0 + j0 * bs1;
-                if (shuf)
-                    pack(panel, jn_pad, src, bs0, bs1, ln, jn, ln_pad, jn_pad,
-                         1.0);
-                else
-                    pack(panel, ln_pad, src, bs1, bs0, jn, ln, jn_pad, ln_pad,
-                         1.0);
-                panel += round_up(ln_pad * jn_pad, 8);
-            }
-            packed_j0 = j0;
+    for (l0 = 0; l0 < k; l0 += kc)
+        c_buf += round_up(round_up(min_long(kc, k - l0), ku) * nc, 8);
+
+    while (t < stop) {
+        long col = t / mtiles, j0 = col * nc;
+        long jn = min_long(nc, n - j0), jn_pad = round_up(jn, nu);
+        long end = min_long(stop, (col + 1) * mtiles);
+        double *panel = b_buf;
+
+        for (l0 = 0; l0 < k; l0 += kc) {
+            long ln = min_long(kc, k - l0), ln_pad = round_up(ln, ku);
+            const double *src = b + l0 * bs0 + j0 * bs1;
+            if (p[P_SHUF])
+                pack(panel, jn_pad, src, bs0, bs1, ln, jn, ln_pad, jn_pad,
+                     1.0);
+            else
+                pack(panel, ln_pad, src, bs1, bs0, jn, ln, jn_pad, ln_pad,
+                     1.0);
+            panel += round_up(ln_pad * jn_pad, 8);
         }
 
         panel = b_buf;
         for (l0 = 0; l0 < k; l0 += kc) {
-            long ln = k - l0 < kc ? k - l0 : kc, ln_pad = round_up(ln, ku);
+            long ln = min_long(kc, k - l0), ln_pad = round_up(ln, ku);
             for (long u = t; u < end; u++) {
-                long i0 = tiles[6 * u + 3], im = tiles[6 * u + 4],
-                     im_pad = tiles[6 * u + 5];
+                long i0 = (u - col * mtiles) * mc;
+                long im = min_long(mc, m - i0), im_pad = round_up(im, mu);
                 double *dst = out + j0 * os0 + i0 * os1;
                 pack(a_buf, im_pad, a + i0 * as0 + l0 * as1, as1, as0, ln, im,
                      ln_pad, im_pad, alpha);
-                if (direct && os1 == 1 && im == im_pad && jn == jn_pad) {
+                if (p[P_DIRECT] && os1 == 1 && im == im_pad && jn == jn_pad) {
                     kernel(im_pad, jn_pad, ln_pad, a_buf, panel, dst, os0);
                 } else {
                     memset(c_buf, 0,
@@ -175,17 +205,47 @@ KERNEL_FN = ctypes.CFUNCTYPE(None, ctypes.c_long, ctypes.c_long,
                              ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
                              ctypes.c_void_p, ctypes.c_long)
 
-_L, _P, _D = ctypes.c_long, ctypes.c_void_p, ctypes.c_double
-_ARGTYPES = [_P, ctypes.c_int, ctypes.c_int,  # kernel, shuf, direct
-             _P, _L, _L,                      # tiles, range
-             _P, _L, _L, _P, _L, _L,          # a, b with strides
-             _P, _L, _L,                      # out with strides
-             _L, _L, _L, _D,                  # k, kc, ku, alpha
-             _P, _P, _P]                      # buffers
+#: ``augem_gemm``'s parameter block, in the order of the C enum:
+#: (m, n, k, mc, nc, kc, mu, nu, ku, a strides, b strides, out strides,
+#: shuf, direct, thread, nthreads)
+PARAMS = struct.Struct("19q")
+
+
+def round_up(x: int, mult: int) -> int:
+    return -(-x // mult) * mult
+
+
+def tile_count(m: int, n: int, mc: int, nc: int) -> int:
+    """Tiles of the ``mc x nc`` grid over an ``m x n`` result."""
+    return -(-m // mc) * -(-n // nc)
+
+
+def tiles(m: int, n: int, mc: int, nc: int, thread: int, nthreads: int):
+    """``(index, j0, jn, i0, im)`` of every tile that ``augem_gemm`` call
+    ``thread`` of ``nthreads`` runs: the C loop's grid rule, for the
+    Python steps around the call."""
+    mtiles = -(-m // mc)
+    ntiles = tile_count(m, n, mc, nc)
+    for index in range(ntiles * thread // nthreads,
+                       ntiles * (thread + 1) // nthreads):
+        col, row = divmod(index, mtiles)
+        j0, i0 = col * nc, row * mc
+        yield index, j0, min(nc, n - j0), i0, min(mc, m - i0)
+
+
+def workspace_size(k: int, mc: int, nc: int, kc: int, ku: int) -> int:
+    """Elements of ``augem_gemm``'s workspace as the C loop lays it out:
+    the A block, every Kc panel of one B column and the scratch tile,
+    each but the last rounded up to 8 elements."""
+    full, rest = divmod(k, kc)
+    panels = full * round_up(round_up(kc, ku) * nc, 8)
+    if rest:
+        panels += round_up(round_up(rest, ku) * nc, 8)
+    return round_up(mc * kc, 8) + panels + mc * nc
 
 
 class _Build(threading.Thread):
-    """The one background build of ``augem_gebp``."""
+    """The one background build of ``augem_gemm``."""
 
     def __init__(self) -> None:
         super().__init__(name="gebp-build", daemon=True)
@@ -195,8 +255,10 @@ class _Build(threading.Thread):
     def run(self) -> None:
         try:
             fn = build_shared({"gebp.c": GEBP_C},
-                              tag="gebp").symbol("augem_gebp")
-            fn.restype, fn.argtypes = None, _ARGTYPES
+                              tag="gebp").symbol("augem_gemm")
+            p = ctypes.c_void_p
+            fn.restype = None
+            fn.argtypes = [p, p, p, p, p, ctypes.c_char_p, ctypes.c_double]
             self.fn = fn
         except BaseException as exc:  # noqa: BLE001 - raised by gebp_function
             self.error = exc
@@ -207,7 +269,7 @@ _BUILD: Optional[_Build] = None
 
 
 def start_build() -> _Build:
-    """Begin (once per process) building ``augem_gebp`` in the background."""
+    """Begin (once per process) building ``augem_gemm`` in the background."""
     global _BUILD
     with _LOCK:
         if _BUILD is None:
@@ -217,7 +279,7 @@ def start_build() -> _Build:
 
 
 def gebp_function():
-    """The loaded ``augem_gebp`` (waits for the build).
+    """The loaded ``augem_gemm`` (waits for the build).
 
     A failed build raises its :class:`~repro.backend.compiler.ToolchainError`
     here and is forgotten, so the next driver build tries again.

@@ -2,7 +2,8 @@
 micro-kernel (paper §4.1: "Our GEMM kernel is based on a general
 block-partitioned algorithm originally developed by Goto").
 
-Python plans the call; C runs it.  The driver:
+Python plans nothing per call: it guards, picks sizes, and calls C.
+The driver:
 
 1. owns one full-size array per call — the C-contiguous result,
    ``beta * C`` or zeros (zeros for a checked call, which adds
@@ -10,20 +11,21 @@ Python plans the call; C runs it.  The driver:
    row-major ``C`` is the column-major ``Cᵀ = Bᵀ Aᵀ``, so the kernel's
    column-major tile of ``Bᵀ Aᵀ`` has the layout of the block of the
    result it belongs to;
-2. partitions (the swapped) C into Mc x Nc macro-tiles and K into Kc
-   slices (Kc = 256 in the paper's evaluation), shrinking Mc/Nc when
-   needed so there are at least as many tiles as compute threads, and
-   lists the tiles column by column;
-3. splits that list into one contiguous range per thread and runs each
-   range in one call of the native GEBP loop (:mod:`repro.blas.gebp`) on
-   buffers lent by a :class:`~repro.blas.threading.PackBufferPool`.  The
-   loop runs in Goto's order: it packs the B panels of each column it
+2. rounds the block sizes Mc x Nc x Kc (Kc = 256 in the paper's
+   evaluation) to the kernel's multiples, shrinking Mc/Nc when needed
+   so there are at least as many macro-tiles as compute threads;
+3. makes one ``augem_gemm`` call (:mod:`repro.blas.gebp`) per thread,
+   each on one workspace lent by a
+   :class:`~repro.blas.threading.PackBufferPool`.  C owns the tiling
+   and the range split: call ``t`` of ``nthreads`` enumerates the
+   column-major tile grid, takes its contiguous share of it and runs
+   that share in Goto's order — it packs the B panels of each column it
    covers once, and for each Kc slice packs every tile's A block with
    alpha folded in and calls the micro-kernel, which accumulates a whole
    tile straight into the result (edge tiles go through a scratch tile
    and are added).  It reads the operands through their strides, so
    F-ordered, transposed and sliced inputs are never copied.  With more
-   than one thread the ranges run on the persistent
+   than one thread the calls run on the persistent
    :class:`~repro.blas.threading.WorkerPool`; the native call releases
    the GIL.
 
@@ -36,14 +38,16 @@ result — so no floating-point operation ever reorders, whatever the
 scheduling.  A column split across two ranges has its B panels packed
 by both.
 
-Python keeps the decisions around the loop, as plain steps before and
-after each range's native call on the thread that made it: the fault
-plan (``worker_die`` raises before the call covering the tile;
-``corrupt`` flips bits of the finished tile after it) and the ABFT
-ladder of :mod:`repro.blas.integrity`, run on each finished tile's
-block of the result.  A checked call accumulates the bare product into
-zeros, verifies its tiles, and only then adds ``beta*C`` in one numpy
-add, so each checked element is ``beta*C + ((0 + r1) + r2 ...)``: the
+A checked or fault-planned call keeps the decisions around the loop,
+as plain steps before and after each range's native call on the thread
+that made it, on the range's tiles as :func:`repro.blas.gebp.tiles`
+derives them from the C loop's grid rule: the fault plan
+(``worker_die`` raises before the call covering the tile; ``corrupt``
+flips bits of the finished tile after it) and the ABFT ladder of
+:mod:`repro.blas.integrity`, run on each finished tile's block of the
+result.  A checked call accumulates the bare product into zeros,
+verifies its tiles, and only then adds ``beta*C`` in one numpy add, so
+each checked element is ``beta*C + ((0 + r1) + r2 ...)``: the
 checksums see the product alone, and with ``beta*C`` absent or at
 k <= Kc that is the unchecked call's bits.
 
@@ -69,7 +73,8 @@ from ..backend.runner import NativeKernel
 from ..core.framework import GeneratedKernel
 from ..obs import event, incr, span
 from ..obs import trace as _trace
-from .gebp import KERNEL_FN, gebp_function, start_build
+from .gebp import (KERNEL_FN, PARAMS, gebp_function, round_up, start_build,
+                   tile_count, tiles, workspace_size)
 from .integrity import (IntegrityChecker, IntegrityReport, contain,
                         resolve_integrity, verify_gemm_tile)
 from .threading import PackBufferPool, get_pool, resolve_threads
@@ -93,10 +98,6 @@ def kernel_multiples(generated: GeneratedKernel) -> tuple:
     return mu, nu, ku
 
 
-def _round_up(x: int, mult: int) -> int:
-    return ((x + mult - 1) // mult) * mult
-
-
 @dataclass
 class BlockSizes:
     """Cache-blocking parameters (paper Table 5 guides the defaults).
@@ -118,15 +119,11 @@ def split_for_threads(m: int, n: int, mc: int, nc: int, mu: int, nu: int,
     multiple of the kernel's mu/nu), and stops at (mu, nu) — a problem
     smaller than the thread count simply runs on fewer tiles.
     """
-
-    def ntiles(mc_: int, nc_: int) -> int:
-        return -(-m // mc_) * -(-n // nc_)
-
-    while ntiles(mc, nc) < threads:
+    while tile_count(m, n, mc, nc) < threads:
         if nc > nu and (nc >= mc or mc <= mu):
-            nc = max(nu, _round_up(nc // 2, nu))
+            nc = max(nu, round_up(nc // 2, nu))
         elif mc > mu:
-            mc = max(mu, _round_up(mc // 2, mu))
+            mc = max(mu, round_up(mc // 2, mu))
         else:
             break
     return mc, nc
@@ -138,12 +135,6 @@ def _strided(x: np.ndarray) -> np.ndarray:
     if x.flags.aligned and not (s0 | s1) % 8:
         return x
     return np.ascontiguousarray(x)
-
-
-def _operand(x: np.ndarray) -> tuple:
-    """(address, row stride, column stride) of a 2-D float64 array, in
-    elements; the address is that of ``x[0, 0]`` whatever the signs."""
-    return x.ctypes.data, x.strides[0] // 8, x.strides[1] // 8
 
 
 def _scaled(c: Optional[np.ndarray], beta: float, m: int,
@@ -195,7 +186,7 @@ class GemmDriver:
             self.integrity = integrity
         else:
             self.integrity = IntegrityChecker(mode=integrity)
-        self._gebp = gebp_function()
+        self._gemm = gebp_function()
         self._kernel_address = (
             ctypes.cast(kernel.fn, ctypes.c_void_p).value
             if isinstance(kernel, NativeKernel) else None)
@@ -244,73 +235,70 @@ class GemmDriver:
 
         nthreads = self.threads if threads is None \
             else resolve_threads(threads)
-        bs = self.blocks
-        mc = max(_round_up(min(bs.mc, m), self.mu), self.mu)
-        nc = max(_round_up(min(bs.nc, n), self.nu), self.nu)
-        kc = max(_round_up(min(bs.kc, k), self.ku), self.ku)
+        bs, mu, nu, ku = self.blocks, self.mu, self.nu, self.ku
+        mc = max(round_up(min(bs.mc, m), mu), mu)
+        nc = max(round_up(min(bs.nc, n), nu), nu)
+        kc = max(round_up(min(bs.kc, k), ku), ku)
         if nthreads > 1:
-            mc, nc = split_for_threads(m, n, mc, nc, self.mu, self.nu,
-                                       nthreads)
-
-        tiles = []
-        for j0 in range(0, n, nc):
-            jn = min(nc, n - j0)
-            for i0 in range(0, m, mc):
-                im = min(mc, m - i0)
-                tiles.append((j0, jn, _round_up(jn, self.nu),
-                              i0, im, _round_up(im, self.mu)))
-        _GebpCall(self, tiles, a, b, out, alpha, k, mc, nc, kc, check,
-                  report).run(min(nthreads, len(tiles)))
+            mc, nc = split_for_threads(m, n, mc, nc, mu, nu, nthreads)
+        # one pooled workspace per native call, its size rounded up to a
+        # power of two so that calls of different shapes reuse one
+        # cache-hot buffer: on a stream of ragged shapes, a buffer per
+        # exact size is cold at every call and the packing runs at
+        # memory latency (measured: a quarter of the ragged pass)
+        size = 1 << (workspace_size(k, mc, nc, kc, ku) - 1).bit_length()
+        job = (a, b, out, alpha, mc, nc, kc, size)
+        plan = get_fault_plan()  # one env lookup per call, not per tile
+        if check or plan is not None:
+            ranged = _Guarded(self, job, plan, check, report).run_range
+        else:
+            ranged = partial(self._native, *job)
+        if nthreads == 1:
+            ranged(0, 1)
+        else:
+            ntiles = tile_count(m, n, mc, nc)
+            self._parallel(ranged, min(nthreads, ntiles), ntiles, k)
         if deferred:
             np.add(c if beta == 1.0 else np.multiply(c, beta), out, out=out)
         return out
 
+    def _native(self, a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                alpha: float, mc: int, nc: int, kc: int, size: int,
+                thread: int, nthreads: int) -> None:
+        """``out += alpha * a @ b`` over range ``thread`` of ``nthreads``
+        of the tile grid, in one ``augem_gemm`` call on a pooled
+        workspace of ``size`` elements.  An exception raised in the
+        kernel trampoline is re-raised here."""
+        pool = self.pack_pool
+        errors: List[BaseException] = []
+        kernel = self._kernel_address
+        # only a native kernel may write into ``out`` directly: the
+        # trampoline would hand Python a view spanning other tiles
+        direct = kernel is not None
+        (m, k), n = a.shape, b.shape[1]
+        params = PARAMS.pack(
+            m, n, k, mc, nc, kc, self.mu, self.nu, self.ku,
+            a.strides[0] // 8, a.strides[1] // 8,
+            b.strides[0] // 8, b.strides[1] // 8,
+            out.strides[0] // 8, out.strides[1] // 8,
+            self.layout == "shuf", direct, thread, nthreads)
+        ws = pool.acquire(size)
+        try:
+            if not direct:
+                kernel = _trampoline(self.kernel, errors)
+            self._gemm(kernel, a.ctypes.data, b.ctypes.data, out.ctypes.data,
+                       ws.ctypes.data, params, alpha)
+        finally:
+            pool.release(ws)
+        if errors:
+            raise errors[0]
 
-class _GebpCall:
-    """One GEMM call's tile plan, run as native GEBP calls.
-
-    ``a @ b`` are the swapped operands of :meth:`GemmDriver.__call__`
-    and ``out`` is indexed ``[j, i]``.  Each worker runs one contiguous
-    range of the tile list in one native call, then, on the same thread,
-    applies the range's planned ``corrupt`` faults and, when the call is
-    checked, runs the ABFT ladder on each tile's block of ``out``.
-    """
-
-    def __init__(self, driver: GemmDriver, tiles, a, b, out, alpha: float,
-                 k: int, mc: int, nc: int, kc: int, check: bool,
-                 report: Optional[IntegrityReport]) -> None:
-        self.driver = driver
-        self.tiles = tiles
-        self.table = np.array(tiles, dtype=np.int64)
-        self.a, self.b, self.out = a, b, out
-        self.alpha, self.k, self.kc = alpha, k, kc
-        self.check, self.report = check, report
-        # one pooled workspace per native call: the A block, every Kc
-        # panel of one B column, and the tile the kernel accumulates
-        # into, each starting on a 64-byte boundary.  Its size is rounded
-        # up to a power of two so that calls of different shapes reuse
-        # one cache-hot buffer: on a stream of ragged shapes, a buffer
-        # per exact size is cold at every call and the packing runs at
-        # memory latency (measured: a quarter of the ragged pass)
-        self.b_at = _round_up(mc * kc, 8)
-        self.c_at = self.b_at + sum(
-            _round_up(_round_up(min(kc, k - l0), driver.ku) * nc, 8)
-            for l0 in range(0, k, kc))
-        self.workspace = 1 << (self.c_at + mc * nc - 1).bit_length()
-        self.plan = get_fault_plan()  # one env lookup per call, not per tile
-
-    # -- scheduling ----------------------------------------------------------
-
-    def run(self, nthreads: int) -> None:
-        ntiles = len(self.tiles)
-        bounds = [ntiles * t // nthreads for t in range(nthreads + 1)]
-        tasks = [partial(self.run_range, lo, hi)
-                 for lo, hi in zip(bounds, bounds[1:])]
-        if nthreads == 1:
-            tasks[0]()
-            return
-        with span("gemm.parallel", layout=self.driver.layout,
-                  threads=nthreads, tiles=ntiles, k=self.k) as sp:
+    def _parallel(self, ranged, nthreads: int, ntiles: int, k: int) -> None:
+        """``ranged(t, nthreads)`` for every range ``t`` on the worker
+        pool."""
+        tasks = [partial(ranged, t, nthreads) for t in range(nthreads)]
+        with span("gemm.parallel", layout=self.layout, threads=nthreads,
+                  tiles=ntiles, k=k) as sp:
             busy = get_pool(nthreads).run(tasks)
             if _trace.enabled():
                 sp.set(busy_s=round(sum(busy.values()), 6))
@@ -321,16 +309,37 @@ class _GebpCall:
                     event("gemm.parallel.worker", worker=worker,
                           busy_s=round(seconds, 6))
 
+
+class _Guarded:
+    """A checked or fault-planned GEMM call, one range at a time.
+
+    ``job`` is the arguments of :meth:`GemmDriver._native` ahead of the
+    range.  Each range's tile indices and coordinates come from
+    ``augem_gemm``'s grid rule (:mod:`repro.blas.gebp`): before the
+    range's native call a planned ``worker_die`` raises; after it, on
+    the same thread, planned ``corrupt`` faults flip bits of finished
+    tiles and, when the call is checked, the ABFT ladder runs on each
+    tile's block of ``out``.
+    """
+
+    def __init__(self, driver: GemmDriver, job: tuple, plan, check: bool,
+                 report: Optional[IntegrityReport]) -> None:
+        self.driver, self.job = driver, job
+        self.a, self.b, self.out, self.alpha, self.mc, self.nc = job[:6]
+        self.plan, self.check, self.report = plan, check, report
+
     def fault_at(self, index: int) -> Optional[str]:
         """The planned thread-stage fault for this tile, if armed."""
         return self.plan.take("thread", tag=self.driver.family,
                               index=index) if self.plan is not None else None
 
-    def run_range(self, first: int, stop: int) -> None:
-        """Tiles ``first .. stop-1`` in one native call, then their
+    def run_range(self, thread: int, nthreads: int) -> None:
+        """Range ``thread`` of ``nthreads`` in one native call, then its
         planned ``corrupt`` faults and, for a checked call, the ladder."""
+        mine = list(tiles(self.a.shape[0], self.b.shape[1], self.mc, self.nc,
+                          thread, nthreads))
         corrupt = set()
-        for index in range(first, stop):
+        for index, *_ in mine:
             fault = self.fault_at(index)
             if fault == "worker_die":
                 raise InjectedWorkerFault(
@@ -338,55 +347,23 @@ class _GebpCall:
                     f"#{index}")
             if fault == "corrupt":
                 corrupt.add(index)
-        self.native(self.table, first, stop - first, self.a, self.b,
-                    self.out)
+        self.driver._native(*self.job, thread, nthreads)
         if not (self.check or corrupt):
             return
-        for index in range(first, stop):
-            j0, jn, _, i0, im, _ = self.tiles[index]
+        for index, j0, jn, i0, im in mine:
             tile = self.out[j0:j0 + jn, i0:i0 + im]
             if index in corrupt:
                 corrupt_tile(tile)
             if self.check:
-                verified = self.verified(tile, index)
+                verified = self.verified(tile, index, j0, jn, i0, im)
                 if verified is not tile:
                     tile[...] = verified
 
-    # -- the native call -----------------------------------------------------
-
-    def native(self, table: np.ndarray, first: int, count: int,
-               a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-        """``augem_gebp`` over ``count`` tiles of ``table`` in a pooled
-        workspace.  An exception raised in the kernel trampoline is
-        re-raised here."""
-        driver, pool = self.driver, self.driver.pack_pool
-        errors: List[BaseException] = []
-        ws = pool.acquire(self.workspace)
-        try:
-            kernel = driver._kernel_address
-            if kernel is None:
-                kernel = _trampoline(driver.kernel, errors)
-            base = ws.ctypes.data
-            # only a native kernel may write into ``out`` directly: the
-            # trampoline would hand Python a view spanning other tiles
-            driver._gebp(kernel, driver.layout == "shuf",
-                         driver._kernel_address is not None,
-                         table.ctypes.data, first, count, *_operand(a),
-                         *_operand(b), *_operand(out), self.k, self.kc,
-                         driver.ku, self.alpha, base, base + 8 * self.b_at,
-                         base + 8 * self.c_at)
-        finally:
-            pool.release(ws)
-        if errors:
-            raise errors[0]
-
-    # -- ABFT ----------------------------------------------------------------
-
-    def verified(self, tile: np.ndarray, index: int) -> np.ndarray:
+    def verified(self, tile: np.ndarray, index: int, j0: int, jn: int,
+                 i0: int, im: int) -> np.ndarray:
         """The verified ``(jn, im)`` tile: ``tile`` itself when its
         checksums hold, else the retry's or the reference's bits."""
         driver = self.driver
-        j0, jn, jn_pad, i0, im, im_pad = self.tiles[index]
         a_sub = self.a[i0:i0 + im, :]
         b_sub = self.b[:, j0:j0 + jn]
         worker = _threading.current_thread().name
@@ -394,15 +371,14 @@ class _GebpCall:
             self.report.note("tiles_checked")
 
         def retry() -> np.ndarray:
-            # a fresh one-tile native call that packs its own B panel
+            # a fresh one-tile native call on the tile's sub-operands
             # (heals transient bit-flips and dirty-scratch races; the
             # fault plan is consulted again, so a persistent `corrupt`
             # spec corrupts the retry too).  It adds into -0.0, the
             # identity of IEEE addition, so it holds the tile's exact
             # bits, sign of zero included
             again = np.full((jn, im), -0.0)
-            self.native(np.array([(0, jn, jn_pad, 0, im, im_pad)],
-                                 dtype=np.int64), 0, 1, a_sub, b_sub, again)
+            driver._native(a_sub, b_sub, again, *self.job[3:], 0, 1)
             if self.fault_at(index) == "corrupt":
                 corrupt_tile(again)
             return again

@@ -93,6 +93,12 @@ class ArgGuard:
     # -- coercion ---------------------------------------------------------
     def _coerce(self, routine: str, param: str, value,
                 ndim: int, contiguous: bool = True) -> np.ndarray:
+        if (type(value) is np.ndarray and value.dtype == np.float64
+                and value.ndim == ndim
+                and (not contiguous or value.flags.c_contiguous)):
+            # the conversion below would return it as it is
+            self._check_finite(routine, param, value)
+            return value
         try:
             arr = np.asarray(value)
         except Exception:

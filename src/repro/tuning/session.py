@@ -380,8 +380,11 @@ def gc_sessions(root: Optional[Path] = None,
     Removed: ``complete``/``failed`` sessions, anything older than
     ``max_age`` regardless of state, and (with ``include_resumable``)
     interrupted/abandoned sessions too.  A live ``running`` session is
-    always kept.  Concurrent gc runs are serialized by a lock so two
-    never race over the same directory.
+    always kept.  A directory whose manifest :meth:`TuningSession.open`
+    rejects is removed once nothing in it has changed for ``max_age``
+    (reported by directory name); a younger one is kept, since its
+    writer may still be publishing it.  Concurrent gc runs are
+    serialized by a lock so two never race over the same directory.
     """
     import shutil
 
@@ -396,7 +399,8 @@ def gc_sessions(root: Optional[Path] = None,
     except (OSError, LockTimeout):
         return result  # another gc is running; let it finish
     try:
-        for session in list_sessions(root):
+        readable = list_sessions(root)
+        for session in readable:
             expired = session.age() > max_age
             dead_end = session.status in (COMPLETE, FAILED)
             resumable = session.is_resumable()
@@ -410,6 +414,26 @@ def gc_sessions(root: Optional[Path] = None,
                 incr("session.gc_removed")
             else:
                 result.kept.append(session.id)
+        opened = {session.path for session in readable}
+        for path in sorted(sroot.iterdir()):
+            if not path.is_dir() or path in opened:
+                continue
+            try:
+                stale = _last_change(path) < time.time() - max_age
+            except OSError:
+                continue  # vanished or unreadable: nothing to prune
+            if stale:
+                shutil.rmtree(path, ignore_errors=True)
+                result.removed.append(path.name)
+                incr("session.gc_removed")
+            else:
+                result.kept.append(path.name)
     finally:
         lock.release()
     return result
+
+
+def _last_change(path: Path) -> float:
+    """The newest mtime of a directory and the entries directly in it."""
+    return max([path.stat().st_mtime]
+               + [entry.stat().st_mtime for entry in path.iterdir()])

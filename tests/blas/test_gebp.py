@@ -1,7 +1,9 @@
-"""The native GEBP loop: its packing and loop order against the numpy
+"""The native GEMM loop: its packing and loop order against the numpy
 layout spec, strided operands read in place, native kernels accumulating
-whole tiles straight into the result, and errors raised inside the
-kernel trampoline or the verification after the call.
+whole tiles straight into the result, errors raised inside the kernel
+trampoline or the verification after the call, and the one tiling rule:
+one ``augem_gemm`` call per thread range, with the single-threaded bits
+at every thread count.
 
 A recording kernel, reached through the driver's ctypes trampoline,
 sees every packed A block and B panel the C loop hands the micro-kernel;
@@ -22,7 +24,7 @@ from repro.backend.faults import (FaultPlan, InjectedWorkerFault,
 from repro.blas import dispatch, gebp
 from repro.blas import gemm as gemm_module
 from repro.blas.api import AugemBLAS
-from repro.blas.gemm import BlockSizes, GemmDriver
+from repro.blas.gemm import BlockSizes, GemmDriver, split_for_threads
 from repro.blas.guard import BlasArgumentError
 from repro.blas.packing import pack_a, pack_b_dup, pack_b_shuf
 from tests.conftest import needs_cc
@@ -342,3 +344,116 @@ def test_native_direct_path_is_bit_identical_across_threads(blas, rng):
                     want = product + beta * c
                     assert checked.tobytes() == want.tobytes(), \
                         (m, n, k, beta, threads)
+
+
+# -- one tiling rule: every range of the grid is one augem_gemm call ---------
+
+
+def _ragged_design():
+    """The ``gemm_ragged`` design: 64 (m, n, k) in 8..199, each dimension
+    drawn once per 1/64th of the range and paired at random."""
+    calls, lo, hi = 64, 8, 200
+    design = np.random.default_rng(2013)
+    strata = np.stack([design.permutation(calls) for _ in range(3)], axis=1)
+    dims = (lo + (strata + 0.5) * (hi - lo) / calls).astype(int)
+    return [tuple(int(d) for d in row) for row in dims]
+
+
+@pytest.fixture(scope="module")
+def shuf_blas():
+    return AugemBLAS(layout="shuf")
+
+
+@pytest.mark.parametrize("layout", ["dup", "shuf"])
+def test_ragged_design_is_bit_identical_across_threads(layout, blas,
+                                                       shuf_blas, rng):
+    # F-ordered A, a transposed view for B, and the three alpha/beta
+    # mixes: at 2-4 threads split_for_threads shrinks the tiles, and the
+    # ranges of the one grid rule must still give the 1-thread bits,
+    # checked or not (k < Kc: a checked call adds the same one slice)
+    driver = (blas if layout == "dup" else shuf_blas).gemm_driver
+    assert isinstance(driver, GemmDriver) and driver._kernel_address
+    mixes = ((1.0, 0.0), (-1.0, 1.0), (0.5, 0.5))
+    for index, (m, n, k) in enumerate(_ragged_design()):
+        a = np.asfortranarray(rng.standard_normal((m, k)))
+        b = rng.standard_normal((n, k)).T
+        c = rng.standard_normal((m, n))
+        alpha, beta = mixes[index % 3]
+        base = driver(a, b, c, alpha=alpha, beta=beta, threads=1)
+        assert _within_bound(base, alpha * (a @ b) + beta * c, k)
+        for threads in (1, 2, 3, 4):
+            for integrity in ("off", "full"):
+                got = driver(a, b, c, alpha=alpha, beta=beta,
+                             threads=threads, integrity=integrity)
+                assert got.tobytes() == base.tobytes(), \
+                    (layout, m, n, k, threads, integrity)
+    assert driver.pack_pool.outstanding == 0
+
+
+def _counting(driver):
+    """Count the driver's ``augem_gemm`` calls."""
+    real, calls = driver._gemm, []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    driver._gemm = counting
+    return calls
+
+
+@pytest.mark.parametrize("m,n,k", [(1, 1, 1), (5, 3, 7), (37, 300, 64),
+                                   (700, 300, 40), (9, 1000, 5)])
+def test_unchecked_call_is_one_native_call_per_range(blas, m, n, k, rng):
+    native = blas.gemm_driver
+    driver = GemmDriver(native.kernel)
+    calls = _counting(driver)
+    a, b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
+    want = a @ b
+    for threads in (1, 2, 3, 4):
+        # the grid after the operand swap: C^T is n x m
+        mc = max(gebp.round_up(min(driver.blocks.mc, n), driver.mu),
+                 driver.mu)
+        nc = max(gebp.round_up(min(driver.blocks.nc, m), driver.nu),
+                 driver.nu)
+        if threads > 1:
+            mc, nc = split_for_threads(n, m, mc, nc, driver.mu, driver.nu,
+                                       threads)
+        ntiles = gebp.tile_count(n, m, mc, nc)
+        del calls[:]
+        got = driver(a, b, threads=threads)
+        assert len(calls) == min(threads, ntiles), (m, n, k, threads)
+        assert _within_bound(got, want, k)
+    assert driver.pack_pool.outstanding == 0
+
+
+class _TallyKernel(_RecordingKernel):
+    """The recording kernel's arithmetic, counting calls instead of
+    keeping panels."""
+
+    tally = 0
+
+    def __call__(self, mc, nc, kc, a, b, c, ldc):
+        self.tally += 1
+        c.reshape(nc, ldc)[:, :mc] += b.reshape(nc, kc) @ a.reshape(kc, mc)
+
+
+def test_tiny_blocks_run_fifteen_thousand_tiles(rng):
+    # 8 x 8 tiles over a 1000 x 1000 result: 125 * 125 tiles, one Kc
+    # slice each, in one native call per range and no tile table
+    m = n = 1000
+    a, b = rng.standard_normal((m, 8)), rng.standard_normal((8, n))
+    want = a @ b
+    base = None
+    for threads in (1, 3):
+        kernel = _TallyKernel("dup")
+        driver = GemmDriver(kernel, blocks=BLOCKS, threads=threads)
+        calls = _counting(driver)
+        got = driver(a, b)
+        assert kernel.tally == 125 * 125 > 15_000
+        assert len(calls) == threads
+        assert _within_bound(got, want, 8)
+        if base is None:
+            base = got
+        assert got.tobytes() == base.tobytes()
+        assert driver.pack_pool.outstanding == 0

@@ -399,3 +399,24 @@ def test_gc_prunes_finished_and_abandoned_keeps_live_and_resumable(
     # gc over a missing root is a harmless no-op
     empty = sessions.gc_sessions(root=tmp_path / "nothing")
     assert empty.removed == [] and empty.kept == []
+
+
+def test_gc_removes_an_old_unreadable_session_and_keeps_a_young_one(
+        tmp_path):
+    # a torn manifest makes TuningSession.open refuse the directory; once
+    # nothing in it has changed for max_age its writer is gone
+    cache_root = tmp_path / "cacheroot"
+    sroot = cache_root / "sessions"
+    old, young = sroot / "torn-old", sroot / "torn-young"
+    for path in (old, young):
+        path.mkdir(parents=True)
+        (path / "manifest.json").write_text('{"version": ')
+        assert sessions.TuningSession.open(path) is None
+    month_ago = time.time() - 30 * 24 * 3600.0
+    for path in (old / "manifest.json", old):
+        os.utime(path, (month_ago, month_ago))
+
+    result = sessions.gc_sessions(root=cache_root)
+    assert result.removed == ["torn-old"]
+    assert result.kept == ["torn-young"]
+    assert not old.exists() and young.exists()
