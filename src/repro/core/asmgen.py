@@ -20,11 +20,10 @@ the GAS emitter (native path) and the emulator (validation path) consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..isa.arch import ArchSpec
-from ..isa.instructions import Comment, Instr, Item, Label, instr
+from ..isa.instructions import Comment, Item, Label, instr
 from ..isa.mapping import MappingRules
 from ..isa.operands import Imm, LabelRef, Mem
 from ..isa.registers import (
@@ -66,18 +65,12 @@ def _usage_weights(fn: C.FuncDef) -> Dict[str, int]:
     weights: Dict[str, int] = {}
 
     def walk(node: C.Node, depth: int) -> None:
-        if isinstance(node, C.For):
-            for part in (node.init, node.cond, node.step):
-                if part is not None:
-                    walk(part, depth + 1)
-            walk(node.body, depth + 1)
-            return
-        if isinstance(node, C.Id):
+        cls = type(node)
+        if cls is C.Id:
             weights[node.name] = weights.get(node.name, 0) + 4 ** min(depth, 8)
-        if isinstance(node, C.TaggedRegion):
-            for s in node.stmts:
-                walk(s, depth)
             return
+        if cls is C.For:  # header and body both count one level deeper
+            depth += 1
         for child in node.children():
             walk(child, depth)
 
@@ -176,15 +169,6 @@ class KernelCodeGen:
         self.emit(instr("mov", self._slot_mem(var), scratch,
                         comment=f"reload {var}"))
         return scratch
-
-    def gp_write_from(self, var: str, src: Register) -> None:
-        home = self.gp_home.get(var)
-        if home is not None:
-            if home.name != src.name:
-                self.emit(instr("mov", src, home))
-        else:
-            self.emit(instr("mov", src, self._slot_mem(var),
-                            comment=f"spill {var}"))
 
     # ------------------------------------------------------------------
     # integer / pointer expression evaluation

@@ -216,6 +216,10 @@ class TemplateIdentifier:
         i = 0
         n = len(stmts)
         while i < n:
+            if type(stmts[i]) is not C.Assign:  # every template opens with one
+                out.append(stmts[i])
+                i += 1
+                continue
             # mvCOMP runs (checked first: its prefix looks like mmCOMP's)
             mv = match_mv_comp(stmts, i)
             if mv is not None:
@@ -274,10 +278,15 @@ class TemplateIdentifier:
                         break
                     run.append(nxt)
                     j += 3
-                raw = stmts[i:j]
+                # each store's original 3 statements, by store identity
+                windows: Dict[tuple, List[C.Node]] = {}
+                for k, store in enumerate(run):
+                    windows.setdefault((store.c_ptr, store.c_off, store.res),
+                                       stmts[i + 3 * k:i + 3 * k + 3])
                 for group in _group_stores(run):
                     name = "mmUnrolledSTORE" if len(group.stores) > 1 else "mmSTORE"
-                    grp_stmts = self._stmts_of_stores(group, raw)
+                    grp_stmts = [s for store in group.stores for s in windows.get(
+                        (store.c_ptr, store.c_off, store.res), ())]
                     out.append(self._tag(name, grp_stmts, group))
                 i = j
                 continue
@@ -321,21 +330,6 @@ class TemplateIdentifier:
             remaining = remaining[count:]
             pos += 4 * count
         return out
-
-    @staticmethod
-    def _stmts_of_stores(group: UnrolledStore, raw: List[C.Node]) -> List[C.Node]:
-        """Original statements belonging to this store group (3 per store)."""
-        windows: Dict[tuple, List[C.Node]] = {}
-        for k in range(0, len(raw), 3):
-            cand = match_mm_store(raw, k)
-            if cand is not None:
-                windows.setdefault((cand.c_ptr, cand.c_off, cand.res),
-                                   raw[k:k + 3])
-        grp_stmts: List[C.Node] = []
-        for store in group.stores:
-            grp_stmts.extend(windows.get(
-                (store.c_ptr, store.c_off, store.res), ()))
-        return grp_stmts
 
 
 def identify_templates(fn: C.FuncDef) -> Tuple[C.FuncDef, List[C.TaggedRegion]]:

@@ -12,7 +12,7 @@ loop's end marker, making ranges conservative for loop-carried values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Set
 
 from ..poet import cast as C
@@ -24,6 +24,18 @@ class LiveRange:
     end: int
 
 
+def _collect_names(node: C.Node, out: List[str]) -> None:
+    """Append every ``Id`` and ``Decl`` name under ``node`` to ``out``."""
+    cls = type(node)
+    if cls is C.Id:
+        out.append(node.name)
+        return
+    if cls is C.Decl:
+        out.append(node.name)
+    for child in node.children():
+        _collect_names(child, out)
+
+
 class Liveness:
     """Flattened-position live ranges over a function body."""
 
@@ -31,9 +43,11 @@ class Liveness:
         self._pos: Dict[int, int] = {}  # id(stmt) -> position
         self._range: Dict[str, LiveRange] = {}
         self._counter = 0
+        #: names mentioned so far inside each open loop, innermost last
+        self._loops: List[Set[str]] = []
         for p in fn.params:
             self._mention(p.name, 0)
-        self._walk_block(fn.body, [])
+        self._walk_block(fn.body)
 
     # -- construction ----------------------------------------------------
     def _next(self) -> int:
@@ -47,50 +61,42 @@ class Liveness:
         else:
             r.start = min(r.start, pos)
             r.end = max(r.end, pos)
+        if self._loops:
+            self._loops[-1].add(var)
 
-    def _mention_all(self, node: C.Node, pos: int, loop_ends: List[int]) -> None:
-        for n in node.walk():
-            if isinstance(n, C.Id):
-                self._mention(n.name, pos)
-            elif isinstance(n, C.Decl):
-                self._mention(n.name, pos)
+    def _mention_all(self, node: C.Node, pos: int) -> None:
+        names: List[str] = []
+        _collect_names(node, names)
+        for name in names:
+            self._mention(name, pos)
 
-    def _extend_loop_vars(self, node: C.Node, end_pos: int) -> None:
-        for n in node.walk():
-            name = None
-            if isinstance(n, C.Id):
-                name = n.name
-            elif isinstance(n, C.Decl):
-                name = n.name
-            if name is not None:
-                r = self._range.get(name)
-                if r is not None:
-                    r.end = max(r.end, end_pos)
-
-    def _walk_block(self, block: C.Block, loop_stack: List[C.For]) -> None:
+    def _walk_block(self, block: C.Block) -> None:
         for s in block.stmts:
             pos = self._next()
             self._pos[id(s)] = pos
             if isinstance(s, C.For):
+                self._loops.append(set())
                 for part in (s.init, s.cond, s.step):
                     if part is not None:
-                        self._mention_all(part, pos, [])
-                self._walk_block(s.body, loop_stack + [s])
+                        self._mention_all(part, pos)
+                self._walk_block(s.body)
                 end_pos = self._next()
                 # everything mentioned inside the loop lives to its end
-                self._extend_loop_vars(s, end_pos)
+                names = self._loops.pop()
+                for name in names:
+                    r = self._range[name]
+                    r.end = max(r.end, end_pos)
+                if self._loops:
+                    self._loops[-1] |= names
             elif isinstance(s, C.If):
-                self._mention_all(s.cond, pos, [])
-                self._walk_block(s.then, loop_stack)
+                self._mention_all(s.cond, pos)
+                self._walk_block(s.then)
                 if s.els is not None:
-                    self._walk_block(s.els, loop_stack)
+                    self._walk_block(s.els)
             elif isinstance(s, C.Block):
-                self._walk_block(s, loop_stack)
-            elif isinstance(s, C.TaggedRegion):
-                for inner in s.stmts:
-                    self._mention_all(inner, pos, [])
-            else:
-                self._mention_all(s, pos, [])
+                self._walk_block(s)
+            else:  # a TaggedRegion is one position for all its statements
+                self._mention_all(s, pos)
 
     # -- queries -----------------------------------------------------------
     def position_of(self, stmt: C.Node) -> int:
@@ -113,6 +119,3 @@ class Liveness:
         """Variables whose range extends beyond ``stmt``'s position."""
         pos = self.position_of(stmt)
         return {v for v, r in self._range.items() if r.start <= pos < r.end}
-
-    def known_vars(self) -> Set[str]:
-        return set(self._range)

@@ -13,8 +13,9 @@ new trees, but a few passes annotate nodes in place).  Every node supports
 from __future__ import annotations
 
 import copy
+import typing
 from dataclasses import dataclass, field, fields
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 
 # ---------------------------------------------------------------------------
@@ -87,20 +88,46 @@ FLOAT_P = CType("float", 1)
 # ---------------------------------------------------------------------------
 
 
-#: node class -> its dataclass field names (``fields()`` is slow, and the
-#: transforms walk and clone hundreds of thousands of nodes per kernel)
-_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+class Layout(NamedTuple):
+    """How the AST core visits one node class, derived once from its
+    dataclass annotations (the transforms visit ~10^5 nodes per kernel)."""
+
+    fields: Tuple[str, ...]  # every dataclass field, in declaration order
+    #: child fields in declaration order, each with True when it holds a
+    #: list of nodes and False when it holds one node (or None)
+    kids: Tuple[Tuple[str, bool], ...]
+    #: the other fields whose values ``clone`` must copy (not str/int/float)
+    data: Tuple[str, ...]
 
 
-def field_names(cls: type) -> Tuple[str, ...]:
-    names = _FIELD_NAMES.get(cls)
-    if names is None:
-        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
-    return names
+def _derive_layout(cls: type) -> Layout:
+    hints = typing.get_type_hints(cls)
+    names, kids, data = [], [], []
+    for f in fields(cls):
+        t = hints[f.name]
+        names.append(f.name)
+        if t is list or typing.get_origin(t) is list:
+            kids.append((f.name, True))
+        elif any(isinstance(a, type) and issubclass(a, Node)
+                 for a in typing.get_args(t) or (t,)):  # X or Optional[X]
+            kids.append((f.name, False))
+        elif t not in (str, int, float):
+            data.append(f.name)
+    return Layout(tuple(names), tuple(kids), tuple(data))
+
+
+class _Layouts(dict):
+    def __missing__(self, cls: type) -> Layout:
+        lay = self[cls] = _derive_layout(cls)
+        return lay
+
+
+#: node class -> its :class:`Layout`
+LAYOUT: Dict[type, Layout] = _Layouts()
 
 
 def _clone_value(v):
-    """Deep copy of one attribute value of a node."""
+    """Deep copy of a non-child attribute value of a node."""
     if isinstance(v, Node):
         return v.clone()
     if isinstance(v, list):
@@ -114,17 +141,23 @@ def _clone_value(v):
 
 @dataclass
 class Node:
-    """Base class of every AST node."""
+    """Base class of every AST node.
+
+    A field annotated as a node type (``Expr``, ``Block``,
+    ``Optional[Stmt]``...) holds one child or None; a field annotated
+    ``list`` holds a list of child nodes; every other field is data.
+    """
 
     def children(self) -> List["Node"]:
-        """Direct child nodes, in field order (skips None / non-node fields)."""
+        """Direct child nodes, in field order (None children skipped)."""
         out = []
-        for name in field_names(type(self)):
-            v = getattr(self, name)
-            if isinstance(v, Node):
+        d = self.__dict__
+        for name, is_list in LAYOUT[type(self)].kids:
+            v = d[name]
+            if is_list:
+                out.extend(v)
+            elif v is not None:
                 out.append(v)
-            elif isinstance(v, (list, tuple)):
-                out.extend(item for item in v if isinstance(item, Node))
         return out
 
     def walk(self) -> Iterator["Node"]:
@@ -133,21 +166,54 @@ class Node:
         while stack:
             node = stack.pop()
             yield node
-            stack.extend(reversed(node.children()))
+            kids = node.children()
+            kids.reverse()
+            stack.extend(kids)
 
     def clone(self) -> "Node":
-        """Deep copy of the subtree, in-place annotations included."""
-        cls = type(self)
-        new = cls.__new__(cls)
-        new.__dict__.update((k, _clone_value(v))
-                            for k, v in self.__dict__.items())
-        return new
+        """Deep copy of the subtree (see :func:`copy_tree`)."""
+        return copy_tree(self)
 
     # Printed form doubles as a readable repr for debugging/tests.
     def __str__(self) -> str:
         from .printer import to_c
 
         return to_c(self)
+
+
+def copy_tree(node: "Node", ids: Optional[dict] = None) -> "Node":
+    """Deep copy of ``node``'s subtree, substituting identifiers on the way.
+
+    Children are copied, data fields copied, and any attribute a pass set
+    on a node in place (outside the dataclass fields) is deep copied too;
+    the copy shares no node or list with the original.
+
+    ``ids`` maps names to substitutes.  A string renames: every ``Id`` of
+    that name and every ``Decl`` declaring it.  A node replaces each ``Id``
+    of that name with a fresh copy of itself.
+    """
+    cls = type(node)
+    if ids is not None and cls is Id and node.name in ids:
+        v = ids[node.name]
+        return Id(v) if isinstance(v, str) else copy_tree(v)
+    lay = LAYOUT[cls]
+    d = node.__dict__.copy()
+    for name, is_list in lay.kids:
+        v = d[name]
+        if is_list:
+            d[name] = [copy_tree(item, ids) for item in v]
+        elif v is not None:
+            d[name] = copy_tree(v, ids)
+    for name in lay.data:
+        d[name] = _clone_value(d[name])
+    if len(d) != len(lay.fields):
+        for name in d.keys() - set(lay.fields):
+            d[name] = _clone_value(d[name])
+    if ids is not None and cls is Decl and isinstance(ids.get(d["name"]), str):
+        d["name"] = ids[d["name"]]
+    new = cls.__new__(cls)
+    new.__dict__ = d
+    return new
 
 
 Expr = Node  # semantic aliases used in annotations below
@@ -334,49 +400,52 @@ class TaggedRegion(Node):
 # ---------------------------------------------------------------------------
 
 
+#: integer folds; a None result (division by zero) leaves the op unfolded
+_FOLD = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a // b if b else None,
+    "%": lambda a, b: a % b if b else None,
+    "<<": lambda a, b: a << b,
+    ">>": lambda a, b: a >> b,
+}
+
+
 def const_fold(e: Expr) -> Expr:
     """Fold integer-constant arithmetic; returns a new (or the same) expr."""
-    if isinstance(e, BinOp):
+    cls = type(e)
+    if cls is BinOp:
         left = const_fold(e.left)
         right = const_fold(e.right)
-        if isinstance(left, IntLit) and isinstance(right, IntLit):
-            a, b = left.value, right.value
-            table = {
-                "+": lambda: a + b,
-                "-": lambda: a - b,
-                "*": lambda: a * b,
-                "/": lambda: a // b if b else None,
-                "%": lambda: a % b if b else None,
-                "<<": lambda: a << b,
-                ">>": lambda: a >> b,
-            }
-            if e.op in table:
-                v = table[e.op]()
-                if v is not None:
-                    return IntLit(v)
+        op = e.op
+        left_lit = type(left) is IntLit
+        right_lit = type(right) is IntLit
+        if left_lit and right_lit and op in _FOLD:
+            v = _FOLD[op](left.value, right.value)
+            if v is not None:
+                return IntLit(v)
         # identity simplifications
-        if e.op == "+" and isinstance(right, IntLit) and right.value == 0:
-            return left
-        if e.op == "+" and isinstance(left, IntLit) and left.value == 0:
-            return right
-        if e.op == "-" and isinstance(right, IntLit) and right.value == 0:
-            return left
-        if e.op == "*" and isinstance(right, IntLit) and right.value == 1:
-            return left
-        if e.op == "*" and isinstance(left, IntLit) and left.value == 1:
-            return right
-        if e.op == "*" and (
-            (isinstance(right, IntLit) and right.value == 0)
-            or (isinstance(left, IntLit) and left.value == 0)
-        ):
+        if right_lit:
+            if right.value == 0 and op in ("+", "-"):
+                return left
+            if right.value == 1 and op == "*":
+                return left
+        if left_lit:
+            if left.value == 0 and op == "+":
+                return right
+            if left.value == 1 and op == "*":
+                return right
+        if op == "*" and ((right_lit and right.value == 0)
+                          or (left_lit and left.value == 0)):
             return IntLit(0)
-        return BinOp(e.op, left, right)
-    if isinstance(e, UnaryOp):
+        return BinOp(op, left, right)
+    if cls is UnaryOp:
         operand = const_fold(e.operand)
-        if e.op == "-" and isinstance(operand, IntLit):
+        if e.op == "-" and type(operand) is IntLit:
             return IntLit(-operand.value)
         return UnaryOp(e.op, operand)
-    if isinstance(e, Index):
+    if cls is Index:
         return Index(const_fold(e.base), const_fold(e.index))
     return e
 

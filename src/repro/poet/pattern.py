@@ -41,20 +41,23 @@ class Bind(C.Node):
 
 def ast_equal(a, b) -> bool:
     """Structural equality of AST subtrees (or plain field values)."""
-    if type(a) is not type(b):
+    cls = type(a)
+    if cls is not type(b):
         return False
     if isinstance(a, C.Node):
-        for name in C.field_names(type(a)):
-            if not ast_equal(getattr(a, name), getattr(b, name)):
-                return False
-        return True
-    if isinstance(a, (list, tuple)):
+        ad, bd = a.__dict__, b.__dict__
+        return all(ast_equal(ad[name], bd[name])
+                   for name in C.LAYOUT[cls].fields)
+    if cls is list or cls is tuple:
         return len(a) == len(b) and all(ast_equal(x, y) for x, y in zip(a, b))
     return a == b
 
 
 def _match_value(pat, node, binding: dict) -> bool:
-    if isinstance(pat, Bind):
+    cls = type(pat)
+    if cls is str:  # operators and names: the common leaf
+        return pat == node
+    if cls is Bind:
         if pat.cls is not None and not isinstance(node, pat.cls):
             return False
         if pat.where is not None and not pat.where(node):
@@ -66,13 +69,14 @@ def _match_value(pat, node, binding: dict) -> bool:
         binding[pat.name] = node
         return True
     if isinstance(pat, C.Node):
-        if type(pat) is not type(node):
+        if cls is not type(node):
             return False
-        for name in C.field_names(type(pat)):
-            if not _match_value(getattr(pat, name), getattr(node, name), binding):
+        pd, nd = pat.__dict__, node.__dict__
+        for name in C.LAYOUT[cls].fields:
+            if not _match_value(pd[name], nd[name], binding):
                 return False
         return True
-    if isinstance(pat, (list, tuple)):
+    if cls is list or cls is tuple:
         if not isinstance(node, (list, tuple)) or len(pat) != len(node):
             return False
         return all(_match_value(p, x, binding) for p, x in zip(pat, node))
@@ -121,7 +125,7 @@ def subst(template: C.Node, binding: dict) -> C.Node:
             raise PatternError(f"cannot substitute {v!r} for {n.name!r}")
         if isinstance(n, C.Node):
             kwargs = {}
-            for name in C.field_names(type(n)):
+            for name in C.LAYOUT[type(n)].fields:
                 v = getattr(n, name)
                 if isinstance(v, (C.Node, list, tuple)):
                     kwargs[name] = _subst_value(v, binding, rep)

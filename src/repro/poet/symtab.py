@@ -11,6 +11,7 @@ from typing import Dict, Iterator, Optional
 
 from . import cast as C
 from .errors import PoetError
+from .traversal import declarations
 
 
 class SymbolTable:
@@ -33,9 +34,8 @@ class SymbolTable:
         for p in fn.params:
             st.declare(p.name, p.ctype)
             st.params.append(p.name)
-        for node in fn.body.walk():  # descends into TaggedRegion.stmts too
-            if isinstance(node, C.Decl):
-                st.declare(node.name, node.ctype)
+        for decl in declarations(fn.body):  # TaggedRegion.stmts included
+            st.declare(decl.name, decl.ctype)
         return st
 
     def declare(self, name: str, ctype: C.CType) -> None:

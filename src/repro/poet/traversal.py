@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from . import cast as C
 
@@ -24,76 +24,81 @@ class NodeVisitor:
         return None
 
 
+#: returned by a rewrite function in a list context: drop the statement
+DELETE = object()
+
+
+def rewrite(node: C.Node, fn: Callable[[C.Node], object]) -> C.Node:
+    """Bottom-up rewrite, in place: children first, then ``fn(node)``.
+
+    ``fn`` returns a replacement node, or None to keep the (child-rewritten)
+    node.  For an item of a list field it may also return a list to splice
+    in its place, or :data:`DELETE` to remove it.
+    """
+    d = node.__dict__
+    for name, is_list in C.LAYOUT[type(node)].kids:
+        v = d[name]
+        if not is_list:
+            if v is not None:
+                d[name] = rewrite(v, fn)
+            continue
+        items = []
+        for item in v:
+            r = rewrite(item, fn)
+            if r is DELETE:
+                continue
+            if isinstance(r, list):
+                items.extend(r)
+            else:
+                items.append(r)
+        d[name] = items
+    r = fn(node)
+    return node if r is None else r
+
+
 class NodeTransformer:
-    """Bottom-up rewriter.
+    """Bottom-up rewriter dispatching on ``visit_<ClassName>`` methods.
 
-    Subclasses define ``visit_<ClassName>(node) -> node | list | None``:
-
-    - return a node to replace the original,
-    - return ``None`` to keep the (child-rewritten) node,
-    - for statements inside a list context, return a list to splice, or
-      the sentinel :data:`DELETE` to remove the statement.
+    Each returns what a :func:`rewrite` function returns: a replacement
+    node, None to keep the node, or (in a list context) a list to splice
+    or :data:`DELETE`.
     """
 
-    DELETE = object()
+    DELETE = DELETE
 
     def transform(self, node: C.Node) -> C.Node:
-        node = self._rewrite_children(node)
+        return rewrite(node, self._dispatch)
+
+    def _dispatch(self, node: C.Node):
         method = getattr(self, f"visit_{type(node).__name__}", None)
-        if method is not None:
-            result = method(node)
-            if result is not None:
-                return result
-        return node
-
-    def _rewrite_children(self, node: C.Node) -> C.Node:
-        for name in C.field_names(type(node)):
-            v = getattr(node, name)
-            if isinstance(v, C.Node):
-                setattr(node, name, self.transform(v))
-            elif isinstance(v, list):
-                new_list = []
-                for item in v:
-                    if isinstance(item, C.Node):
-                        r = self.transform(item)
-                        if r is NodeTransformer.DELETE:
-                            continue
-                        if isinstance(r, list):
-                            new_list.extend(r)
-                        else:
-                            new_list.append(r)
-                    else:
-                        new_list.append(item)
-                setattr(node, name, new_list)
-        return node
-
-
-def rewrite(node: C.Node, fn: Callable[[C.Node], Optional[C.Node]]) -> C.Node:
-    """Functional bottom-up rewrite: ``fn`` returns a replacement or None."""
-
-    class _F(NodeTransformer):
-        def transform(self, n: C.Node) -> C.Node:
-            n = self._rewrite_children(n)
-            r = fn(n)
-            return n if r is None else r
-
-    return _F().transform(node)
+        return None if method is None else method(node)
 
 
 def replace_ids(node: C.Node, mapping: dict) -> C.Node:
-    """Clone ``node`` substituting identifiers by name.
+    """Clone ``node`` substituting identifiers by name, in one pass.
 
-    Values may be strings (renames) or expression nodes.
+    String values rename (declarations included); node values replace
+    each matching ``Id`` with a fresh clone (see :func:`cast.copy_tree`).
     """
-    cloned = node.clone()
+    return C.copy_tree(node, mapping)
 
-    def fn(n: C.Node):
-        if isinstance(n, C.Id) and n.name in mapping:
-            v = mapping[n.name]
-            return C.Id(v) if isinstance(v, str) else v.clone()
-        return None
 
-    return rewrite(cloned, fn)
+#: the node classes a declaration can sit under (expressions hold none)
+_HOLDS_STMTS = (C.Block, C.For, C.If, C.TaggedRegion, C.FuncDef, C.Program)
+
+
+def declarations(root: C.Node):
+    """Yield every ``Decl`` under ``root`` (inclusive), pre-order, without
+    descending into expressions."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, C.Decl):
+            yield node
+        elif isinstance(node, _HOLDS_STMTS):
+            kids = node.children()
+            kids.reverse()
+            stack.extend(kids)
 
 
 def stmt_lists(root: C.Node):

@@ -12,6 +12,7 @@ from typing import Optional
 
 from ..poet import cast as C
 from ..poet.errors import TransformError
+from ..poet.traversal import declarations
 
 
 @dataclass
@@ -96,12 +97,7 @@ def require_loop(root: C.Node, var: str) -> LoopInfo:
 
 def declared_names(stmts) -> list:
     """Names declared by top-level or nested Decl statements in ``stmts``."""
-    names = []
-    for s in stmts:
-        for n in s.walk():
-            if isinstance(n, C.Decl):
-                names.append(n.name)
-    return names
+    return [d.name for s in stmts for d in declarations(s)]
 
 
 class Transform:

@@ -70,7 +70,9 @@ def _flatten_sum(e: C.Node, sign: int, terms: List[Tuple[int, C.Node]]) -> None:
 
 
 def _uses_var(e: C.Node, var: str) -> bool:
-    return any(isinstance(n, C.Id) and n.name == var for n in e.walk())
+    if type(e) is C.Id:
+        return e.name == var
+    return any(_uses_var(c, var) for c in e.children())
 
 
 def _term_coeff(term: C.Node, var: str) -> Optional[C.Node]:
@@ -94,7 +96,7 @@ def _term_coeff(term: C.Node, var: str) -> Optional[C.Node]:
 def decompose_affine(idx: C.Node, var: str) -> Optional[AffineForm]:
     """Decompose ``idx`` as ``coeff*var + base + const`` or return None."""
     terms: List[Tuple[int, C.Node]] = []
-    _flatten_sum(C.const_fold(_expand(C.const_fold(idx.clone()))), 1, terms)
+    _flatten_sum(C.const_fold(_expand(C.const_fold(idx))), 1, terms)
     coeff: Optional[C.Node] = None
     base: Optional[C.Node] = None
     const = 0
@@ -120,7 +122,7 @@ def decompose_affine(idx: C.Node, var: str) -> Optional[AffineForm]:
 
 
 def _canon(e: Optional[C.Node]) -> str:
-    return "" if e is None else to_c(C.const_fold(e.clone()))
+    return "" if e is None else to_c(C.const_fold(e))
 
 
 @dataclass

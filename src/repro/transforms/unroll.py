@@ -17,24 +17,8 @@ from typing import List, Optional
 
 from ..poet import cast as C
 from ..poet.errors import TransformError
-from ..poet.traversal import replace_ids, rewrite
-from .base import FreshNames, LoopInfo, Transform, declared_names, loop_info, require_loop
-
-
-def _rename_decls(stmts: List[C.Node], suffix: str) -> List[C.Node]:
-    """Clone ``stmts`` renaming every variable they declare with ``suffix``."""
-    mapping = {name: f"{name}{suffix}" for name in declared_names(stmts)}
-    out = []
-    for s in stmts:
-        cloned = replace_ids(s, mapping)
-
-        def fix_decl(n: C.Node):
-            if isinstance(n, C.Decl) and n.name in mapping:
-                return C.Decl(mapping[n.name], n.ctype, n.init)
-            return None
-
-        out.append(rewrite(cloned, fix_decl))
-    return out
+from ..poet.traversal import declarations, replace_ids
+from .base import FreshNames, LoopInfo, Transform, declared_names, require_loop
 
 
 def unrolled_copies(info: LoopInfo, factor: int, names: Optional[FreshNames] = None):
@@ -42,17 +26,20 @@ def unrolled_copies(info: LoopInfo, factor: int, names: Optional[FreshNames] = N
 
     Returns a list of statement lists.  Copy ``k`` has the induction variable
     replaced by ``v + k*S`` and its declared variables renamed ``name_u<k>``
-    (globally unique via ``names``).
+    (globally unique via ``names``); each copy is one substituting clone.
     """
     names = names or FreshNames()
+    declared = declared_names(info.body.stmts)
+    if info.var in declared:
+        raise TransformError(
+            f"loop body redeclares its induction variable {info.var!r}")
     copies = []
     for k in range(factor):
-        shift = {info.var: C.add(C.Id(info.var), C.IntLit(k * info.step))} if k else {}
-        stmts = []
-        for s in info.body.stmts:
-            stmts.append(replace_ids(s, shift) if shift else s.clone())
         uid = names.fresh("_u")
-        copies.append(_rename_decls(stmts, uid))
+        ids = {name: f"{name}{uid}" for name in declared}
+        if k:
+            ids[info.var] = C.add(C.Id(info.var), C.IntLit(k * info.step))
+        copies.append([replace_ids(s, ids) for s in info.body.stmts])
     return copies
 
 
@@ -83,7 +70,7 @@ class Unroll(Transform):
             return fn
         info = require_loop(fn.body, self.var)
         loop = info.loop
-        original_body = [s.clone() for s in info.body.stmts]
+        original_body = info.body.stmts
         copies = unrolled_copies(info, self.factor)
         new_body = [s for copy in copies for s in copy]
         loop.body = C.Block(new_body)
@@ -96,20 +83,19 @@ class Unroll(Transform):
             loop.cond = C.BinOp(
                 "<", C.Id(info.var), C.const_fold(C.BinOp("-", info.upper.clone(), margin))
             )
-            remainder = _remainder_loop(info, original_body)
-            _insert_after(fn.body, loop, remainder)
+            block, idx = _find_stmt(fn.body, loop)
+            block.stmts.insert(idx + 1, _remainder_loop(info, original_body))
         return fn
 
 
-def _insert_after(root: C.Node, anchor: C.Node, new_stmt: C.Node) -> None:
-    """Insert ``new_stmt`` right after ``anchor`` in whatever Block holds it."""
+def _find_stmt(root: C.Node, stmt: C.Node):
+    """The Block holding ``stmt`` under ``root``, and its index there."""
     for n in root.walk():
         if isinstance(n, C.Block):
             for i, s in enumerate(n.stmts):
-                if s is anchor:
-                    n.stmts.insert(i + 1, new_stmt)
-                    return
-    raise TransformError("anchor statement not found")
+                if s is stmt:
+                    return n, i
+    raise TransformError("statement not found")
 
 
 class SplitAccumulator(Transform):
@@ -165,7 +151,7 @@ class SplitAccumulator(Transform):
         # declare partial sums before the loop (after acc's own declaration)
         decl_type = self._acc_type(fn, acc)
         decls = [C.Decl(p, decl_type, C.FloatLit(0.0)) for p in parts]
-        block, idx = self._find_stmt(fn.body, loop)
+        block, idx = _find_stmt(fn.body, loop)
         for d in reversed(decls):
             block.stmts.insert(idx, d)
 
@@ -174,25 +160,16 @@ class SplitAccumulator(Transform):
         for p in parts[1:]:
             red = C.BinOp("+", red, C.Id(p))
         reduction = C.Assign(C.Id(acc), "+=", red)
-        block2, idx2 = self._find_stmt(fn.body, loop)
+        block2, idx2 = _find_stmt(fn.body, loop)
         block2.stmts.insert(idx2 + 1, reduction)
         return fn
 
     @staticmethod
     def _acc_type(fn: C.FuncDef, acc: str) -> C.CType:
-        for n in fn.body.walk():
-            if isinstance(n, C.Decl) and n.name == acc:
-                return n.ctype
+        for d in declarations(fn.body):
+            if d.name == acc:
+                return d.ctype
         for p in fn.params:
             if p.name == acc:
                 return p.ctype
         raise TransformError(f"accumulator {acc!r} not declared")
-
-    @staticmethod
-    def _find_stmt(root: C.Node, stmt: C.Node):
-        for n in root.walk():
-            if isinstance(n, C.Block):
-                for i, s in enumerate(n.stmts):
-                    if s is stmt:
-                        return n, i
-        raise TransformError("statement not found")

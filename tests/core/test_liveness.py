@@ -55,6 +55,30 @@ def test_loop_extends_ranges_to_loop_end():
     assert lv.dead_after("acc", lv.position_of(fn.body.stmts[-1]))
 
 
+def test_inner_loop_names_live_to_the_outer_loop_end():
+    fn = parse_function("""
+    void f(long n, double* x) {
+        long i;
+        long j;
+        double t;
+        for (i = 0; i < n; i += 1) {
+            for (j = 0; j < n; j += 1) {
+                t = x[j];
+            }
+            x[i] = 0.0;
+        }
+        x[0] = 1.0;
+    }
+    """)
+    lv = Liveness(fn)
+    outer = fn.body.stmts[3]
+    after_inner = outer.body.stmts[1]
+    # t is only mentioned in the inner loop, but the outer loop runs it
+    # again, so it lives past every statement of the outer body
+    assert not lv.dead_after("t", lv.position_of(after_inner))
+    assert lv.dead_after("t", lv.position_of(fn.body.stmts[-1]))
+
+
 def test_params_live_from_entry():
     fn = parse_function("void f(long n) { n = n + 1; }")
     lv = Liveness(fn)

@@ -156,3 +156,88 @@ def test_split_preserves_semantics():
     fn = SplitAccumulator("i", "res", 8).apply(fn)
     got = run_c_function(fn, [n, x, y])
     assert np.isclose(got, x @ y)
+
+
+# -- printed-C pins: the exact text of an unrolled body ---------------------
+
+def test_unroll_shifts_index_inside_a_renamed_temp_initializer():
+    src = """
+    void f(long n, double* x, double* y) {
+        long i;
+        for (i = 0; i < n; i += 1) {
+            double t = x[2 * i + 1];
+            long k = i + n;
+            y[k] = t * t;
+        }
+    }
+    """
+    assert to_c(Unroll("i", 3).apply(parse_function(src))) == """\
+void f(long n, double* x, double* y) {
+    long i;
+    for (i = 0; i < n; i += 3) {
+        double t_u0 = x[2 * i + 1];
+        long k_u0 = i + n;
+        y[k_u0] = t_u0 * t_u0;
+        double t_u1 = x[2 * (i + 1) + 1];
+        long k_u1 = i + 1 + n;
+        y[k_u1] = t_u1 * t_u1;
+        double t_u2 = x[2 * (i + 2) + 1];
+        long k_u2 = i + 2 + n;
+        y[k_u2] = t_u2 * t_u2;
+    }
+}"""
+
+
+def test_unroll_remainder_loop_keeps_the_original_body():
+    src = """
+    void axpy(long n, double alpha, double* x, double* y) {
+        long i;
+        for (i = 0; i < n; i += 1) {
+            double t = x[i] * alpha;
+            y[i] += t;
+        }
+    }
+    """
+    fn = Unroll("i", 4, assume_divisible=False).apply(parse_function(src))
+    assert to_c(fn) == """\
+void axpy(long n, double alpha, double* x, double* y) {
+    long i;
+    for (i = 0; i < n - 3; i += 4) {
+        double t_u0 = x[i] * alpha;
+        y[i] += t_u0;
+        double t_u1 = x[i + 1] * alpha;
+        y[i + 1] += t_u1;
+        double t_u2 = x[i + 2] * alpha;
+        y[i + 2] += t_u2;
+        double t_u3 = x[i + 3] * alpha;
+        y[i + 3] += t_u3;
+    }
+    for (; i < n; i += 1) {
+        double t = x[i] * alpha;
+        y[i] += t;
+    }
+}"""
+
+
+def test_unrolled_copies_share_no_node_with_the_loop_body():
+    fn = parse_function(AXPY)
+    body = find_loop(fn.body, "i").body
+    before = {id(n) for s in body.stmts for n in s.walk()}
+    fn = Unroll("i", 3).apply(fn)
+    after = {id(n) for s in find_loop(fn.body, "i").body.stmts
+             for n in s.walk()}
+    assert not before & after
+
+
+def test_unroll_rejects_a_body_that_redeclares_the_induction_variable():
+    src = """
+    void f(long n, double* x) {
+        long i;
+        for (i = 0; i < n; i += 1) {
+            long i = 2;
+            x[i] = 1.0;
+        }
+    }
+    """
+    with pytest.raises(TransformError, match="induction variable"):
+        Unroll("i", 2).apply(parse_function(src))

@@ -7,6 +7,7 @@ from repro.blas.kernels import GEMM_SIMPLE_C
 from repro.poet import cast as C
 from repro.poet.errors import TransformError
 from repro.poet.parser import parse_function
+from repro.poet.printer import to_c
 from repro.transforms.base import find_loop, loop_info
 from repro.transforms.unroll_jam import UnrollJam, jam
 
@@ -94,3 +95,31 @@ def test_unroll_jam_preserves_gemm_semantics(nu, mu):
         for i in range(mc):
             ref[j * ldc + i] = am[:, i] @ bm[j, :]
     assert np.allclose(c, ref)
+
+
+def test_unroll_jam_renames_a_declaration_nested_in_the_inner_loop():
+    src = """
+    void g(long m, long n, double* A, double* C) {
+        long i;
+        long j;
+        for (j = 0; j < n; j += 1) {
+            for (i = 0; i < m; i += 1) {
+                double t = A[i + j * m];
+                C[i + j * m] = t + 1.0;
+            }
+        }
+    }
+    """
+    assert to_c(UnrollJam("j", 2).apply(parse_function(src))) == """\
+void g(long m, long n, double* A, double* C) {
+    long i;
+    long j;
+    for (j = 0; j < n; j += 2) {
+        for (i = 0; i < m; i += 1) {
+            double t_u0 = A[i + j * m];
+            double t_u1 = A[i + (j + 1) * m];
+            C[i + j * m] = t_u0 + 1.0;
+            C[i + (j + 1) * m] = t_u1 + 1.0;
+        }
+    }
+}"""
