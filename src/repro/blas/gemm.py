@@ -104,7 +104,7 @@ class BlockSizes:
 
     ``kc`` x ``nc`` is the B panel one column's tiles share in L2; the
     driver rounds ``mc`` up to a multiple of the kernel's ``mu`` and
-    ``nc`` to one of ``nu`` (144 x 512 at the zmm 24 x 4 tile)."""
+    ``nc`` to one of ``nu`` (144 x 512 at the zmm 24 x 8 tile)."""
 
     mc: int = 128
     kc: int = 256

@@ -53,7 +53,7 @@ class Level3:
     #: panel width: the driver's unrounded Mc, so that after its operand
     #: swap a column panel of the triangle is one macro-tile per Kc
     #: slice.  The driver rounds Mc up to a multiple of its kernel's mu
-    #: (144 at the zmm 24x4 tile), so there each 128-wide panel is one
+    #: (144 at the zmm tile, mu = 24), so there each 128-wide panel is one
     #: tile padded by 16 zero rows: the kernel issues 12.5% more flops
     #: than the panel needs (ROADMAP items 2 and 7).  A 144-wide panel
     #: measured mixed (SYRK/SYR2K faster, TRMM/TRSM slower), so the

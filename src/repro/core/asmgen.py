@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..isa.arch import ArchSpec
-from ..isa.instructions import Comment, Item, Label, instr
+from ..isa.instructions import Comment, Instr, Item, Label, instr
 from ..isa.mapping import MappingRules
 from ..isa.operands import Imm, LabelRef, Mem
 from ..isa.registers import (
@@ -60,16 +60,21 @@ class CodegenError(PoetError):
     """Raised when a construct reaches codegen that it cannot translate."""
 
 
-def _usage_weights(fn: C.FuncDef) -> Dict[str, int]:
-    """Use count per variable, weighted 4^loop_depth."""
+def _usage_weights(fn: C.FuncDef) -> Tuple[Dict[str, int], List[str]]:
+    """Use count per variable, weighted 4^loop_depth, and the variables in
+    declaration order: parameters, then ``Decl``s pre-order (the order
+    :meth:`SymbolTable.of_function` lists them in)."""
     weights: Dict[str, int] = {}
+    declared = {p.name: None for p in fn.params}
 
     def walk(node: C.Node, depth: int) -> None:
         cls = type(node)
         if cls is C.Id:
             weights[node.name] = weights.get(node.name, 0) + 4 ** min(depth, 8)
             return
-        if cls is C.For:  # header and body both count one level deeper
+        if cls is C.Decl:
+            declared.setdefault(node.name)
+        elif cls is C.For:  # header and body both count one level deeper
             depth += 1
         for child in node.children():
             walk(child, depth)
@@ -77,20 +82,22 @@ def _usage_weights(fn: C.FuncDef) -> Dict[str, int]:
     walk(fn.body, 0)
     for p in fn.params:  # params always count at least once
         weights.setdefault(p.name, 1)
-    return weights
+    return weights, list(declared)
 
 
 class KernelCodeGen:
     """Code generation context shared with the template optimizers."""
 
     def __init__(self, fn: C.FuncDef, arch: ArchSpec, plan: VectorPlan,
-                 schedule: bool = True, unified_regalloc: bool = False) -> None:
+                 schedule: bool = True, unified_regalloc: bool = False,
+                 symtab: Optional[SymbolTable] = None) -> None:
         self.fn = fn
         self.arch = arch
         self.plan = plan
         self.schedule = schedule
         self.map = MappingRules(arch)
-        self.symtab = SymbolTable.of_function(fn)
+        self.symtab = (SymbolTable.of_function(fn) if symtab is None
+                       else symtab)
         self.liveness = Liveness(fn)
         self.items: List[Item] = []
         self._label_counter = 0
@@ -104,12 +111,14 @@ class KernelCodeGen:
         self.alloc = VectorAllocator(arch, arrays, unified=unified_regalloc)
 
         # ---- GP side: static assignment by weighted use count -------------
+        # (ties keep declaration order, whatever order the transforms
+        # declared their names in the shared symbol table)
+        weights, declared = _usage_weights(fn)
         int_vars = [
-            name for name in self.symtab
+            name for name in declared
             if self.symtab.type_of(name).is_pointer
             or self.symtab.is_integer(name)
         ]
-        weights = _usage_weights(fn)
         int_vars.sort(key=lambda v: -weights.get(v, 0))
         self.gp_home: Dict[str, Register] = {}
         for var, reg in zip(int_vars, ALLOCATABLE_GP):
@@ -500,6 +509,12 @@ class KernelCodeGen:
         self._gen_block(self.fn.body)
         self._epilogue()
         items = self.items
+        for it in items:  # a wrong register fails here, not in gcc
+            bad = type(it) is Instr and it.unencodable_register()
+            if bad:
+                raise CodegenError(
+                    f"{it.mnemonic} cannot encode {bad} (registers 16-31 "
+                    f"are EVEX-only): {it}")
         if self.schedule:
             items = schedule_items(items)
         return items
@@ -750,7 +765,13 @@ class KernelCodeGen:
 
 def generate_assembly_items(fn: C.FuncDef, arch: ArchSpec, plan: VectorPlan,
                             schedule: bool = True,
-                            unified_regalloc: bool = False) -> List[Item]:
-    """Full Assembly Kernel Generator pass over a tagged function."""
+                            unified_regalloc: bool = False,
+                            symtab: Optional[SymbolTable] = None
+                            ) -> List[Item]:
+    """Full Assembly Kernel Generator pass over a tagged function.
+
+    ``symtab``: the function's symbol table when the caller already has
+    one (built from ``fn`` when omitted)."""
     return KernelCodeGen(fn, arch, plan, schedule=schedule,
-                         unified_regalloc=unified_regalloc).gen_function()
+                         unified_regalloc=unified_regalloc,
+                         symtab=symtab).gen_function()

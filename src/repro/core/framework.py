@@ -28,7 +28,7 @@ from ..obs import span
 from ..poet import cast as C
 from ..poet.parser import parse_function
 from ..poet.printer import to_c
-from ..transforms.pipeline import OptimizationConfig, optimize_c_kernel
+from ..transforms.pipeline import OptimizationConfig, optimize_with_symtab
 from .asmgen import CodegenError, generate_assembly_items
 from .identifier import identify_templates
 from .vectorize import SHUF_LANES, VectorPlan, plan_vectorization
@@ -134,10 +134,17 @@ def default_config(kernel: str, arch: ArchSpec) -> OptimizationConfig:
         # wide-tile register economics (e.g. 4x12 on AVX+FMA: 12
         # accumulators, 3 A vectors, 1 rotating broadcast — the OpenBLAS
         # kernel shape); non-FMA targets need a mul temp, so one A chunk
-        # fewer
+        # fewer.  A 32-register file holds twice the accumulators: 24x8
+        # on AVX-512 (24 accumulators + 3 A vectors + the broadcast)
         mu = 3 * n if arch.has_fma else 2 * n
+        if n == 2:
+            nu = 2
+        elif arch.has_fma and arch.n_vector_regs >= 32:
+            nu = 8
+        else:
+            nu = 4
         return OptimizationConfig(
-            unroll_jam=(("j", 2 if n == 2 else 4), ("i", mu)),
+            unroll_jam=(("j", nu), ("i", mu)),
             unroll=(("l", 2),),
         )
     if kernel == "gemv":
@@ -206,7 +213,7 @@ class Augem:
                   config=config.describe(), strategy=strategy) as sp:
             # 1. Optimized C Kernel Generator
             with span("pipeline.c_opt"):
-                fn = optimize_c_kernel(kernel_source, config)
+                fn, symtab = optimize_with_symtab(kernel_source, config)
                 low_level_c = to_c(fn)
             # 2. Template Identifier
             with span("pipeline.identify") as sp_id:
@@ -219,7 +226,7 @@ class Augem:
             with span("pipeline.asmgen"):
                 items = generate_assembly_items(
                     fn, self.arch, plan, schedule=self.schedule,
-                    unified_regalloc=self.unified_regalloc)
+                    unified_regalloc=self.unified_regalloc, symtab=symtab)
                 sym = name or fn.name
                 asm_text = emit_function(sym, items)
             sp.set(kernel=sym)

@@ -154,8 +154,9 @@ def _emit_vdup(cg, payload: UnrolledComp, n: int) -> None:
 
     # B registers ROTATE: each lane's broadcast register is released as
     # soon as its FMAs are emitted, so even wide tiles (e.g. 12x4 with 12
-    # accumulators + 3 A vectors) fit the 16-register file — the register
-    # economics of hand-written kernels.
+    # accumulators + 3 A vectors) fit the 16-register file, and 24x8 on
+    # AVX-512 (24 accumulators + 3 A vectors) fits the 32-register one —
+    # the register economics of hand-written kernels.
     for key in b_order:
         col = sorted(by_b[key], key=lambda c: c.a_off or 0)
         bv = cg.alloc.alloc_temp_reg(array_root(key[0]))

@@ -10,6 +10,11 @@ The allocation strategy follows the paper:
 - with R physical registers and m arrays, each array gets R/m registers
   (we give the residue to a shared temporary queue, which also backs the
   "pure temporary" class of tmp2-style variables);
+- R counts the 16 VEX-addressable registers only.  On AVX-512 targets
+  registers 16-31 form one overflow queue consulted after every other,
+  so a kernel that fits 16 registers is allocated exactly as on a
+  16-register target, and only a wider tile (the 24x8 zmm GEMM) reaches
+  the EVEX-only registers;
 - assignments are remembered in a global ``reg_table`` so decisions stay
   consistent across template regions and the surrounding code (Fig. 2);
 - a register is released — and its entry dropped from ``reg_table`` —
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..isa.arch import ArchSpec
-from ..isa.registers import Register, xmm
+from ..isa.registers import N_VEX_REGS, Register, xmm
 
 
 class OutOfRegistersError(RuntimeError):
@@ -74,6 +79,8 @@ def array_root(name: str) -> str:
 
 
 TEMP_CLASS = "tmp"
+#: the queue of registers 16-31 (not a C identifier, so no array clashes)
+HIGH_CLASS = "evex16+"
 
 
 class VectorAllocator:
@@ -90,7 +97,7 @@ class VectorAllocator:
         self.arch = arch
         self.unified = unified
         classes = list(dict.fromkeys(array_classes))  # unique, ordered
-        total = arch.n_vector_regs
+        total = min(arch.n_vector_regs, N_VEX_REGS)
         if unified:
             self.classes = [TEMP_CLASS]
             self.queues: Dict[str, List[Register]] = {
@@ -114,6 +121,9 @@ class VectorAllocator:
             while idx < total:
                 self.queues[TEMP_CLASS].append(xmm(idx))
                 idx += 1
+        if arch.n_vector_regs > total:
+            self.queues[HIGH_CLASS] = [
+                xmm(k) for k in range(total, arch.n_vector_regs)]
         #: the paper's global variable->register map (Fig. 2: ``reg_table``)
         self.reg_table: Dict[str, Loc] = {}
         self._reg_owner: Dict[int, str] = {}  # reg index -> class it came from
@@ -123,6 +133,8 @@ class VectorAllocator:
         cls = cls if cls in self.queues else TEMP_CLASS
         order = [cls, TEMP_CLASS] + [c for c in self.classes
                                      if c not in (cls, TEMP_CLASS)]
+        if HIGH_CLASS in self.queues:
+            order.append(HIGH_CLASS)
         for candidate in order:
             queue = self.queues[candidate]
             if queue:

@@ -7,9 +7,10 @@ FMA4/Piledriver code the host cannot run) and validates instruction
 semantics independently of the native toolchain.
 
 Supported: the GP/SSE/AVX/AVX-512F/FMA vocabulary in
-:data:`repro.isa.instructions.INSTR_INFO`.  Vector registers are modelled
-as eight float64 lanes (zmm); VEX/EVEX writes zero every lane above the
-operand width, legacy SSE writes preserve them, matching hardware.
+:data:`repro.isa.instructions.INSTR_INFO`.  The vector file is the 32
+AVX-512 registers, each eight float64 lanes (zmm); VEX/EVEX writes zero
+every lane above the operand width, legacy SSE writes preserve them,
+matching hardware.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from ..isa.instructions import Instr, Item, Label
 from ..isa.operands import Imm, LabelRef, Mem
-from ..isa.registers import Register
+from ..isa.registers import N_EVEX_REGS, Register
 from .memory import Memory
 
 _U64 = 2 ** 64
@@ -73,7 +74,8 @@ def _fma(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 @dataclass
 class MachineState:
     gp: Dict[str, int] = field(default_factory=dict)
-    vec: np.ndarray = field(default_factory=lambda: np.zeros((16, 8)))
+    vec: np.ndarray = field(
+        default_factory=lambda: np.zeros((N_EVEX_REGS, 8)))
     # last flag-setting operation, stored as (signed_result_for_zero_cmp)
     cmp_dst: int = 0
     cmp_src: int = 0
@@ -369,7 +371,7 @@ class Machine:
                 r = b * a
             self._write_vec(dst, r, vex=True)
             return pc + 1
-        if mn == "vxorpd":
+        if mn in ("vxorpd", "vpxord"):
             s1, s2, dst = ops
             lanes = self._lanes(dst)
             a = self._read_vec(s1, lanes)

@@ -98,15 +98,17 @@ HASWELL = ArchSpec(
     description="Intel Haswell-class (AVX2 + FMA3)",
 )
 
-#: Intel Skylake-X and later: AVX-512F with FMA.  Deliberately limited to
-#: the 16 VEX-addressable registers (zmm16-31 need EVEX-only encodings), so
-#: the register plan is Haswell's: 12 accumulators, 3 A vectors, 1 broadcast.
+#: Intel Skylake-X and later: AVX-512F with FMA and all 32 zmm registers.
+#: zmm16-31 have only EVEX encodings; the allocator hands them out after
+#: zmm0-15, so only the GEMM tile (24 accumulators, 3 A vectors and a
+#: rotating broadcast) reaches them, and every kernel that fits 16 registers
+#: keeps Haswell's register plan at 64-byte width.
 SKYLAKE_X = ArchSpec(
     name="skylake_x",
     simd="avx",
     fma="fma3",
     vector_bytes=64,
-    n_vector_regs=16,
+    n_vector_regs=32,
     l1d_bytes=32 * 1024,
     l2_bytes=1024 * 1024,
     prefetch_distance=64,

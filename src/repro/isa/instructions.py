@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple, Union
 
 from .operands import Imm, LabelRef, Mem, Operand
-from .registers import RSP, Register
+from .registers import N_VEX_REGS, RSP, Register
 
 
 @dataclass(frozen=True)
@@ -99,6 +99,7 @@ INSTR_INFO = {
     "vsubsd":  _I(("R", "R", "W"), latency=3),
     "vmulsd":  _I(("R", "R", "W"), latency=5),
     "vxorpd":  _I(("R", "R", "W")),
+    "vpxord":  _I(("R", "R", "W")),
     "vshufpd": _I(("I", "R", "R", "W")),
     "vblendpd": _I(("I", "R", "R", "W")),
     "vpermilpd": _I(("I", "R", "W")),
@@ -123,6 +124,22 @@ INSTR_INFO = {
     "prefetcht1":  _I(("R",)),
     "prefetcht2":  _I(("R",)),
     "prefetchnta": _I(("R",)),
+}
+
+
+#: the operand widths (bytes) at which a mnemonic has an AVX512F (EVEX)
+#: encoding — the only one that names registers 16-31.  Packed forms at
+#: 128/256 bits need AVX512VL, EVEX ``vxorpd`` needs AVX512DQ, and
+#: ``vextractf128``/``vperm2f128``/``vblendpd`` and the legacy SSE forms
+#: have no EVEX encoding at all.
+EVEX_WIDTHS = {
+    **dict.fromkeys(
+        ("vmovupd", "vmovapd", "vbroadcastsd", "vaddpd", "vsubpd", "vmulpd",
+         "vpxord", "vfmadd231pd", "vfmadd213pd", "vfmadd132pd",
+         "vpermilpd", "vshufpd", "vunpcklpd", "vunpckhpd"), (64,)),
+    **dict.fromkeys(
+        ("vmovsd", "vaddsd", "vsubsd", "vmulsd", "vfmadd231sd"), (16,)),
+    "vextractf64x4": (64, 32),
 }
 
 
@@ -194,6 +211,15 @@ class Instr:
         if self.mnemonic == "push":
             out.append(Mem(base=RSP, disp=-8))  # implicit stack write
         return out
+
+    def unencodable_register(self) -> Optional[Register]:
+        """A register 16-31 operand this instruction cannot encode, if any."""
+        for op in self.operands:
+            if (type(op) is Register and op.kind == "vec"
+                    and op.index >= N_VEX_REGS
+                    and op.width not in EVEX_WIDTHS.get(self.mnemonic, ())):
+                return op
+        return None
 
     def __str__(self) -> str:
         ops = ", ".join(str(o) for o in self.operands)

@@ -26,7 +26,7 @@ from typing import List, Optional
 from .arch import ArchSpec
 from .instructions import Instr, instr
 from .operands import Imm, Mem
-from .registers import Register
+from .registers import N_VEX_REGS, Register
 
 
 class MappingRules:
@@ -125,8 +125,12 @@ class MappingRules:
 
         At 64 bytes the VEX ``vxorpd %xmm`` form is used: a VEX write zeroes
         bits 511:128 too, and it needs only AVX512F (EVEX ``vxorpd`` on zmm
-        is an AVX512DQ instruction).
+        is an AVX512DQ instruction).  VEX cannot name registers 16-31, so
+        those take the EVEX integer form ``vpxord %zmm``, also AVX512F.
         """
+        if self.arch.vector_bytes == 64 and reg.index >= N_VEX_REGS:
+            v = self._v(reg)
+            return [instr("vpxord", v, v, v)]
         v = reg.xmm if self.arch.vector_bytes == 64 else self._v(reg)
         if self.avx:
             return [instr("vxorpd", v, v, v)]

@@ -54,9 +54,14 @@ GP = {n: Register(n, "gp", 8) for n in GP_ORDER}
 #: vector register name prefix per width in bytes
 VEC_PREFIX = {16: "xmm", 32: "ymm", 64: "zmm"}
 
-#: the 16 VEX-addressable vector registers at every width, by name
+#: registers 0-15 are VEX-addressable; 16-31 exist only in EVEX encodings
+#: (AVX-512), so an instruction without an EVEX form cannot name them
+N_VEX_REGS = 16
+N_EVEX_REGS = 32
+
+#: all 32 vector registers at every width, by name
 VEC = {f"{p}{i}": Register(f"{p}{i}", "vec", w)
-       for w, p in VEC_PREFIX.items() for i in range(16)}
+       for w, p in VEC_PREFIX.items() for i in range(N_EVEX_REGS)}
 XMM = {n: r for n, r in VEC.items() if r.width == 16}
 YMM = {n: r for n, r in VEC.items() if r.width == 32}
 

@@ -392,7 +392,6 @@ class TaggedRegion(Node):
     template: str  # template name, e.g. "mmUnrolledCOMP"
     stmts: list  # the original low-level C statements
     binding: dict = field(default_factory=dict)  # template parameters
-    live_out: frozenset = frozenset()  # scalars live after the region
 
 
 # ---------------------------------------------------------------------------

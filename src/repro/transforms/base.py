@@ -104,6 +104,9 @@ class Transform:
     """Base class: a named, parameterized source-to-source transformation."""
 
     name = "transform"
+    #: ``apply`` takes the function's symbol table as a second argument
+    #: (built from ``fn`` when omitted) and declares what it adds in it
+    reads_symtab = False
 
     def apply(self, fn: C.FuncDef) -> C.FuncDef:  # pragma: no cover - interface
         raise NotImplementedError

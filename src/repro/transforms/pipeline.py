@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from ..obs import span
 from ..poet import cast as C
 from ..poet.parser import parse_function
+from ..poet.symtab import SymbolTable
 from .base import Transform
 from .prefetch import InsertPrefetch
 from .scalar_replacement import HoistDecls, ScalarReplace
@@ -92,10 +93,28 @@ def optimize_c_kernel(kernel: Union[str, C.FuncDef],
     ``kernel`` may be C source text or an already-parsed function.  A fresh
     tree is produced; the input is never mutated.
     """
+    return optimize_with_symtab(kernel, config)[0]
+
+
+def optimize_with_symtab(kernel: Union[str, C.FuncDef],
+                         config: OptimizationConfig
+                         ) -> Tuple[C.FuncDef, SymbolTable]:
+    """:func:`optimize_c_kernel`, plus the result's symbol table.
+
+    The table is built once, by the first transform that reads it (after
+    the unrolling stages, which rename declarations), and the transforms
+    that declare names keep it current, so nothing rebuilds it.
+    """
+    symtab: Optional[SymbolTable] = None
     with span("transforms.optimize_c", config=config.describe()):
         fn = (parse_function(kernel) if isinstance(kernel, str)
               else kernel.clone())
         for transform in build_pipeline(config):
             with span(f"transform.{type(transform).__name__}"):
-                fn = transform.apply(fn)
-    return fn
+                if not transform.reads_symtab:
+                    fn = transform.apply(fn)
+                    continue
+                if symtab is None:
+                    symtab = SymbolTable.of_function(fn)
+                fn = transform.apply(fn, symtab)
+    return fn, symtab

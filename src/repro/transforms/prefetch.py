@@ -51,6 +51,7 @@ class InsertPrefetch(Transform):
     """
 
     name = "prefetch"
+    reads_symtab = True
 
     def __init__(self, loops: Optional[Iterable[str]] = None,
                  distance=64, level=0) -> None:
@@ -72,8 +73,10 @@ class InsertPrefetch(Transform):
                 return d
         return None
 
-    def apply(self, fn: C.FuncDef) -> C.FuncDef:
-        symtab = SymbolTable.of_function(fn)
+    def apply(self, fn: C.FuncDef,
+              symtab: Optional[SymbolTable] = None) -> C.FuncDef:
+        if symtab is None:
+            symtab = SymbolTable.of_function(fn)
         for node in fn.body.walk():
             if not isinstance(node, C.For):
                 continue

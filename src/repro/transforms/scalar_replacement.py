@@ -37,12 +37,15 @@ class ScalarReplace(Transform):
     """Lower compound float assignments to template-shaped 3-address code."""
 
     name = "scalar_replacement"
+    reads_symtab = True
 
     def __init__(self) -> None:
         self._names = FreshNames()
 
-    def apply(self, fn: C.FuncDef) -> C.FuncDef:
-        symtab = SymbolTable.of_function(fn)
+    def apply(self, fn: C.FuncDef,
+              symtab: Optional[SymbolTable] = None) -> C.FuncDef:
+        if symtab is None:
+            symtab = SymbolTable.of_function(fn)
         self._new_decls: List[C.Decl] = []
         self._lower_block(fn.body, symtab)
         fn.body.stmts[0:0] = self._new_decls

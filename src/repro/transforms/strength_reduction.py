@@ -140,12 +140,15 @@ class StrengthReduce(Transform):
     """
 
     name = "strength_reduction"
+    reads_symtab = True
 
     def __init__(self, loops: Optional[List[str]] = None) -> None:
         self.loops = loops
 
-    def apply(self, fn: C.FuncDef) -> C.FuncDef:
-        symtab = SymbolTable.of_function(fn)
+    def apply(self, fn: C.FuncDef,
+              symtab: Optional[SymbolTable] = None) -> C.FuncDef:
+        if symtab is None:
+            symtab = SymbolTable.of_function(fn)
         names = FreshNames()
         self._process_block(fn.body, fn, symtab, names)
         return fn
@@ -176,6 +179,10 @@ class StrengthReduce(Transform):
         # collect candidate refs directly in this loop body (not nested loops:
         # their refs were handled when the inner loop was processed)
         groups: Dict[Tuple[str, str, str], _PtrGroup] = {}
+        # an unrolled body repeats each subscript across the copies that
+        # do not vary it (A's for every j, B's for every i): decompose
+        # each distinct printed subscript once
+        forms: Dict[str, Optional[Tuple[AffineForm, str, str]]] = {}
 
         def scan(node: C.Node, in_nested_loop: bool) -> None:
             if isinstance(node, C.For) and node is not loop:
@@ -186,10 +193,17 @@ class StrengthReduce(Transform):
                 arr = node.base.name
                 if not symtab.is_pointer(arr):
                     return
-                form = decompose_affine(node.index, info.var)
-                if form is None or form.coeff is None:
+                text = to_c(node.index)
+                if text not in forms:
+                    form = decompose_affine(node.index, info.var)
+                    forms[text] = (
+                        None if form is None or form.coeff is None
+                        else (form, _canon(form.coeff), _canon(form.base)))
+                hit = forms[text]
+                if hit is None:
                     return  # invariant or non-affine: leave alone
-                key = (arr, _canon(form.coeff), _canon(form.base))
+                form = hit[0]
+                key = (arr, hit[1], hit[2])
                 grp = groups.get(key)
                 if grp is None:
                     grp = _PtrGroup(arr, form.coeff, form.base)

@@ -32,7 +32,7 @@ def gemm_candidates(arch: ArchSpec, layout: str = "dup") -> List[Candidate]:
     """unroll&jam (nu, mu), l-unroll ku, prefetch distance sweep."""
     n = arch.doubles_per_vector
     out: List[Candidate] = []
-    nu_opts = (2, 4)
+    nu_opts = (2, 4, 6, 8)
     mu_opts = (n, 2 * n, 3 * n, 4 * n)
     reserve = 1 if arch.has_fma else 2  # rotating broadcast (+ mul temp)
     for nu in nu_opts:

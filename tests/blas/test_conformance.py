@@ -217,6 +217,49 @@ def test_zmm_kernels_native_bit_equal_to_emulator(rng):
         same(xs[0], xs[1], ("scal", n))
 
 
+@needs_avx512
+def test_zmm_24x8_gemm_native_bit_equal_to_emulator_on_ragged_shapes(rng):
+    """The 32-register tile (24 accumulators, zmm16-31 included) on shapes
+    that are multiples of none of (mu, nu, ku) = (24, 8, 2), with blocks
+    small enough for several tiles and Kc panels per call."""
+    from repro.blas.gemm import BlockSizes, make_gemm
+
+    emu = _emu_kernel(SKYLAKE_X, "gemm")
+    assert dict(emu.generated.config.unroll_jam) == {"j": 8, "i": 24}
+    assert "%zmm31" in emu.generated.asm_text
+    for blocks in (None, BlockSizes(mc=24, kc=4, nc=16)):
+        native = make_gemm(arch=SKYLAKE_X, blocks=blocks)
+        emulated = GemmDriver(emu, blocks=blocks)
+        assert (native.mu, native.nu, native.ku) == (24, 8, 2)
+        for m, k, n in [(25, 3, 9), (47, 11, 17), (23, 5, 31)]:
+            a, b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
+            c = rng.standard_normal((m, n))
+            got = native(a, b, c, alpha=1.25, beta=-0.5)
+            assert got.tobytes() == emulated(
+                a, b, c, alpha=1.25, beta=-0.5).tobytes(), (m, k, n)
+            assert np.allclose(got, ref.ref_gemm(a, b, c, 1.25, -0.5))
+
+
+@needs_cc
+def test_native_gemm_driver_on_n_not_a_multiple_of_8(rng):
+    """The host's native GEMM within the ledger's bound on column counts
+    that leave every remainder modulo the 8-column tile, across threads."""
+    from repro.blas.gemm import make_gemm
+
+    for threads in (1, 2):
+        driver = make_gemm(threads=threads)
+        for m, k, n in [(24, 2, 1), (50, 7, 9), (97, 33, 15), (131, 300, 23),
+                        (64, 64, 36), (200, 129, 61), (7, 513, 100)]:
+            assert n % 8 != 0
+            a, b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
+            c = rng.standard_normal((m, n))
+            want = ref.ref_gemm(a, b, c, -0.75, 2.0)
+            got = driver(a, b, c, alpha=-0.75, beta=2.0)
+            bound = 8 * (k + 1) * np.finfo(float).eps * max(
+                1.0, np.abs(want).max())
+            assert np.abs(got - want).max() <= bound, (threads, m, k, n)
+
+
 # -- facade conformance (any serving tier must match reference) -------------
 
 @pytest.fixture(scope="module")

@@ -222,3 +222,25 @@ def test_non_canonical_downward_loop_still_translates():
     out = np.zeros(1)
     call_items(items, [9, out])
     assert out[0] == 9.0
+
+
+def test_gp_assignment_does_not_depend_on_symbol_table_order():
+    # the table the transforms keep current lists names in the order they
+    # were declared, not the function's: the GP homes must not care
+    from repro.blas.kernels import GEMM_SIMPLE_C
+    from repro.poet.symtab import SymbolTable
+
+    cfg = OptimizationConfig(unroll_jam=(("j", 4), ("i", 8)),
+                             unroll=(("l", 2),))
+    fn = optimize_c_kernel(GEMM_SIMPLE_C, cfg)
+    fn, regions = identify_templates(fn)
+    plan = plan_vectorization(regions, HASWELL, "auto")
+    table = SymbolTable.of_function(fn)
+    shuffled = SymbolTable()
+    shuffled.params = list(table.params)
+    for name in reversed(list(table)):
+        shuffled.declare(name, table.type_of(name))
+    homes = [KernelCodeGen(fn, HASWELL, plan, symtab=t).gp_home
+             for t in (None, table, shuffled)]
+    assert homes[0] == homes[1] == homes[2]
+    assert list(homes[0].items()) == list(homes[2].items())

@@ -72,15 +72,65 @@ def test_skylake_x_emits_zmm_from_the_same_templates(kernel):
     gk = Augem(arch=SKYLAKE_X).generate_named(kernel)
     ymm = Augem(arch=HASWELL).generate_named(kernel)
     assert "%zmm" in gk.asm_text and "vzeroupper" in gk.asm_text
-    assert gk.template_counts == ymm.template_counts
+    expect = dict(ymm.template_counts)
+    if kernel == "gemm":
+        # one mmUnrolledSTORE per tile column: 8 at the 32-register
+        # tile against Haswell's 4, every other count the same
+        assert dict(gk.config.unroll_jam)["j"] == 8
+        assert dict(ymm.config.unroll_jam)["j"] == 4
+        expect["mmUnrolledSTORE"] *= 2
+    assert gk.template_counts == expect
 
 
-def test_skylake_x_gemm_keeps_the_16_register_plan():
-    # 4x24 tile: 12 zmm accumulators + 3 A vectors + 1 broadcast
+def _fma_operands(asm):
+    return [tuple(int(r) for r in ops) for ops in
+            re.findall(r"vfmadd231pd\t%zmm(\d+), %zmm(\d+), %zmm(\d+)", asm)]
+
+
+def test_skylake_x_gemm_uses_the_32_register_file():
+    # 24x8 tile: 24 zmm accumulators + 3 A vectors + 1 rotating broadcast
     gk = Augem(arch=SKYLAKE_X).generate_named("gemm")
-    assert dict(gk.config.unroll_jam) == {"j": 4, "i": 24}
+    assert dict(gk.config.unroll_jam) == {"j": 8, "i": 24}
+    fmas = _fma_operands(gk.asm_text)
+    assert len(fmas) == 2 * 24  # u(l)=2 copies of the 24-FMA body
+    # the accumulators take zmm0-15 first, then the EVEX-only overflow
+    assert {acc for _, _, acc in fmas} == set(range(24))
+    # A vectors and broadcasts come from the overflow after them
+    assert {r for a, b, _ in fmas for r in (a, b)} <= set(range(24, 32))
+    for body in (fmas[:24], fmas[24:]):
+        assert len({a for a, _, _ in body}) == 3  # 3 A vectors per k step
+        assert len({b for _, b, _ in body}) <= 8
+    # the broadcast rotates through the 5 registers the A vectors leave,
+    # which lets the scheduler hoist broadcasts: all 32 are named
     used = {int(r) for r in re.findall(r"%zmm(\d+)", gk.asm_text)}
-    assert used == set(range(16))
+    assert used == set(range(32))
+    # zmm16-23 are zeroed with EVEX vpxord, zmm0-15 with VEX vxorpd
+    zeroed = re.findall(r"vpxord\t%zmm(\d+), %zmm\1, %zmm\1", gk.asm_text)
+    assert sorted(map(int, zeroed)) == list(range(16, 24))
+    assert "vxorpd\t%xmm16" not in gk.asm_text
+    assert len(re.findall(r"vxorpd\t%xmm(\d+)", gk.asm_text)) == 16
+
+
+def test_only_the_skylake_x_gemm_reaches_registers_16_to_31():
+    # every other family fits 16 registers and keeps the VEX file
+    for kernel in ("gemv", "gemv_n", "ger", "axpy", "dot", "scal"):
+        gk = Augem(arch=SKYLAKE_X).generate_named(kernel)
+        used = {int(r) for r in re.findall(r"%[xyz]mm(\d+)", gk.asm_text)}
+        assert max(used) < 16, kernel
+    # the 16-register 24x4 tile generated at 32 registers never spills over
+    cfg = default_config("gemm", HASWELL).with_(
+        unroll_jam=(("j", 4), ("i", 24)))
+    gk = Augem(arch=SKYLAKE_X).generate_named("gemm", config=cfg)
+    assert {int(r) for r in re.findall(r"%zmm(\d+)", gk.asm_text)} \
+        == set(range(16))
+
+
+def test_vex_only_form_on_a_high_register_fails_generation():
+    # the scalar strategy needs more than 16 registers for dot's 16 split
+    # accumulators; the allocator hands out xmm16, whose zeroing idiom
+    # (VEX vxorpd) cannot encode it: generation must refuse, not gcc
+    with pytest.raises(CodegenError, match=r"vxorpd cannot encode %xmm16"):
+        Augem(arch=SKYLAKE_X).generate_named("dot", strategy="scalar")
 
 
 def test_sse_kernel_has_no_avx():

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.core.regalloc import (
+    HIGH_CLASS,
     OutOfRegistersError,
     Pack,
     VectorAllocator,
     array_root,
 )
-from repro.isa.arch import GENERIC_SSE, HASWELL
+from repro.isa.arch import GENERIC_SSE, HASWELL, SKYLAKE_X
 
 
 def test_array_root_parsing():
@@ -25,6 +26,30 @@ def test_queues_partition_register_file():
     assert total == 16
     assert set(alloc.queues) == {"A", "B", "C", "tmp"}
     assert len(alloc.queues["A"]) == 4  # R/m with m=4 classes
+    # a 32-register file splits registers 0-15 exactly the same way and
+    # puts 16-31 in one overflow queue
+    wide = VectorAllocator(SKYLAKE_X, ["A", "B", "C"])
+    assert set(wide.queues) == {"A", "B", "C", "tmp", HIGH_CLASS}
+    for cls in alloc.queues:
+        assert wide.queues[cls] == alloc.queues[cls]
+    assert [r.index for r in wide.queues[HIGH_CLASS]] == list(range(16, 32))
+    unified = VectorAllocator(SKYLAKE_X, ["A"], unified=True)
+    assert [r.index for r in unified.queues["tmp"]] == list(range(16))
+    assert [r.index for r in unified.queues[HIGH_CLASS]] == \
+        list(range(16, 32))
+
+
+def test_overflow_queue_is_consulted_last():
+    alloc = VectorAllocator(SKYLAKE_X, ["A", "B", "C"])
+    regs = [alloc.alloc(f"v{k}", "A").reg.index for k in range(17)]
+    assert sorted(regs[:16]) == list(range(16))  # every VEX queue first
+    assert regs[16] == 16
+    alloc.free_reg(alloc.reg_table.pop("v16").reg)
+    assert alloc.queues[HIGH_CLASS][-1].index == 16  # back to its queue
+    for k in range(17, 33):
+        alloc.alloc(f"v{k}", "A")
+    with pytest.raises(OutOfRegistersError):
+        alloc.alloc("one_too_many", "A")
 
 
 def test_residue_goes_to_temp_queue():

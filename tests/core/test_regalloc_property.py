@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.regalloc import OutOfRegistersError, VectorAllocator
-from repro.isa.arch import GENERIC_SSE, HASWELL
+from repro.isa.arch import GENERIC_SSE, HASWELL, SKYLAKE_X
 
 ARRAY_CLASSES = ("A", "B", "C")
 VARS = [f"v{i}" for i in range(24)]
@@ -59,7 +59,7 @@ def _check_invariants(alloc: VectorAllocator, total_regs: int) -> None:
             f"{var} is live in reg {loc.reg.index} which is also free")
 
 
-@pytest.mark.parametrize("arch", [GENERIC_SSE, HASWELL],
+@pytest.mark.parametrize("arch", [GENERIC_SSE, HASWELL, SKYLAKE_X],
                          ids=lambda a: a.name)
 @pytest.mark.parametrize("unified", [False, True],
                          ids=["per-array", "unified"])

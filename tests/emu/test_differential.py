@@ -19,6 +19,7 @@ Two layers:
 """
 
 import ctypes
+import dataclasses
 import math
 
 import numpy as np
@@ -33,7 +34,7 @@ from repro.emu.memory import Memory
 from repro.emu.run import call_kernel
 from repro.isa.arch import detect_host
 from repro.isa.gas import emit_function
-from repro.isa.instructions import Instr, instr
+from repro.isa.instructions import EVEX_WIDTHS, Instr, instr
 from repro.isa.operands import Imm, Mem
 from repro.isa.registers import GP, vec, xmm, ymm
 from repro.tuning.space import candidates_for
@@ -191,28 +192,39 @@ _ZMM_OPS = [
     ("vsubpd", (64, 64, 64)), ("vfmadd231pd", (64, 64, 64)),
     ("vmovapd", (64, 64)), ("vextractf64x4", ("I", 64, 32)),
     ("vaddpd", (32, 32, 32)), ("vxorpd", (16, 16, 16)),
-    ("vaddsd", (16, 16, 16)),
+    ("vaddsd", (16, 16, 16)), ("vpxord", (64, 64, 64)),
 ]
+
+#: zmm0-7 and the EVEX-only zmm16-23 take part
+_ZMM_REGS = list(range(N_REGS)) + list(range(16, 16 + N_REGS))
 
 
 @st.composite
 def zmm_sequences(draw):
+    """Operands draw from both halves of the file; a register 16-31 is
+    kept only where the generator's encodability rule allows it."""
     out = []
     for _ in range(draw(st.integers(min_value=1, max_value=16))):
         mnemonic, widths = draw(st.sampled_from(_ZMM_OPS))
-        out.append(Instr(mnemonic, tuple(
-            Imm(draw(st.integers(0, 1))) if w == "I"
-            else vec(draw(st.integers(0, N_REGS - 1)), w)
-            for w in widths)))
+        ops = []
+        for w in widths:
+            if w == "I":
+                ops.append(Imm(draw(st.integers(0, 1))))
+                continue
+            idx = draw(st.sampled_from(_ZMM_REGS))
+            if w not in EVEX_WIDTHS.get(mnemonic, ()):
+                idx %= 16
+            ops.append(vec(idx, w))
+        out.append(Instr(mnemonic, tuple(ops)))
     return out
 
 
 def _wrap_zmm(seq):
-    """Load zmm0..7 from (rdi), run seq, store zmm0..7 to (rsi)."""
-    load = [instr("vmovupd", Mem(base=RDI, disp=64 * i), vec(i, 64))
-            for i in range(N_REGS)]
-    store = [instr("vmovupd", vec(i, 64), Mem(base=RSI, disp=64 * i))
-             for i in range(N_REGS)]
+    """Load zmm0-7 and zmm16-23 from (rdi), run seq, store them to (rsi)."""
+    load = [instr("vmovupd", Mem(base=RDI, disp=64 * k), vec(i, 64))
+            for k, i in enumerate(_ZMM_REGS)]
+    store = [instr("vmovupd", vec(i, 64), Mem(base=RSI, disp=64 * k))
+             for k, i in enumerate(_ZMM_REGS)]
     return load + list(seq) + store + [instr("vzeroupper"), instr("ret")]
 
 
@@ -220,7 +232,8 @@ def _wrap_zmm(seq):
 @given(seq=zmm_sequences(), seed=st.integers(0, 2**31))
 @settings(max_examples=30, deadline=None)
 def test_emulator_matches_silicon_bitwise_zmm(seq, seed):
-    inputs = np.random.default_rng(seed).standard_normal(N_REGS * 8)
+    assert all(i.unencodable_register() is None for i in seq)
+    inputs = np.random.default_rng(seed).standard_normal(len(_ZMM_REGS) * 8)
     items = _wrap_zmm(seq)
     np.testing.assert_array_equal(
         _run_native(items, inputs).view(np.uint64),
@@ -237,11 +250,21 @@ def test_emulator_matches_silicon_bitwise_zmm(seq, seed):
 def _edge_candidates(kernel, arch):
     """The extremes of the tuner's space: smallest and largest unroll shape,
     plus one prefetching variant (the emulator treats prefetch as a nop,
-    so its addressing code still executes)."""
-    cands = candidates_for(kernel, arch)
-    plain = [c for c in cands if c.config.prefetch_distance is None]
-    pf = [c for c in cands if c.config.prefetch_distance is not None]
-    picked = [plain[0], plain[-1]] + pf[-1:]
+    so its addressing code still executes).  GEMM adds the same extremes
+    of its 2- and 4-wide tiles on a 16-register file, the space before
+    6- and 8-wide tiles and 32 registers: on skylake_x that is the
+    16-register plan generated with zmm16-31 available."""
+    def extremes(cands):
+        plain = [c for c in cands if c.config.prefetch_distance is None]
+        pf = [c for c in cands if c.config.prefetch_distance is not None]
+        return [plain[0], plain[-1]] + pf[-1:]
+
+    picked = extremes(candidates_for(kernel, arch))
+    if kernel == "gemm":
+        narrow = [c for c in candidates_for(
+                      kernel, dataclasses.replace(arch, n_vector_regs=16))
+                  if dict(c.config.unroll_jam)["j"] <= 4]
+        picked += extremes(narrow)
     seen, out = set(), []
     for c in picked:
         if c.describe() not in seen:

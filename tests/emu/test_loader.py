@@ -15,7 +15,7 @@ from repro.emu.run import call_items
 from repro.isa.arch import GENERIC_SSE, HASWELL, PILEDRIVER, SANDYBRIDGE
 from repro.isa.instructions import Comment, Directive, Instr, Label
 from repro.isa.operands import Imm, LabelRef, Mem
-from repro.isa.registers import GP, xmm, ymm
+from repro.isa.registers import GP, vec, xmm, ymm
 
 
 # -- operands --------------------------------------------------------------
@@ -24,6 +24,7 @@ def test_register_operand():
     assert parse_operand("%rax") == GP["rax"]
     assert parse_operand("%ymm7") == ymm(7)
     assert parse_operand("%xmm0") == xmm(0)
+    assert parse_operand("%zmm31") == vec(31, 64)
 
 
 def test_immediate_operand():
@@ -48,7 +49,7 @@ def test_label_operand():
 
 def test_bad_operand_raises():
     with pytest.raises(AsmParseError):
-        parse_operand("%zmm16")  # EVEX-only; the generator stays below
+        parse_operand("%zmm32")  # the AVX-512 file ends at zmm31
     with pytest.raises(AsmParseError):
         parse_operand("$xyz")
 

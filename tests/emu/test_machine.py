@@ -334,6 +334,15 @@ def test_vex_xmm_zero_idiom_clears_whole_zmm():
     assert list(m.state.vec[3]) == [0.0] * 8
 
 
+def test_evex_zero_idiom_clears_a_high_zmm():
+    m = run([instr("vpxord", zmm(16), zmm(16), zmm(16)),
+             instr("vpxord", zmm(31), zmm(17), zmm(18))],
+            floats={16: [5] * 8, 17: [-2.5] * 8, 31: [-2.5] * 8})
+    assert m.state.vec.shape == (32, 8)
+    assert list(m.state.vec[16]) == [0.0] * 8
+    assert list(m.state.vec[18]) == [0.0] * 8  # x ^ x, any bit pattern
+
+
 def test_zmm_broadcast_and_fma():
     mem = Memory(1 << 12)
     addr = mem.bind(np.array([2.0]))

@@ -11,9 +11,28 @@ from repro.isa.instructions import (
     instructions_of,
 )
 from repro.isa.operands import Imm, LabelRef, Mem
-from repro.isa.registers import GP, RSP, xmm, ymm
+from repro.isa.registers import GP, RSP, vec, xmm, ymm
 
 RAX, RBX = GP["rax"], GP["rbx"]
+
+
+def test_registers_16_to_31_need_an_avx512f_encoding():
+    z16, z3 = vec(16, 64), vec(3, 64)
+    # EVEX forms at the widths AVX512F encodes
+    for ins in (instr("vfmadd231pd", z3, z16, z16),
+                instr("vpxord", z16, z16, z16),
+                instr("vaddsd", xmm(17), xmm(17), xmm(17)),
+                instr("vextractf64x4", Imm(1), z16, ymm(18))):
+        assert ins.unencodable_register() is None, ins
+    # VEX-only forms, 256-bit forms (AVX512VL), and legacy SSE
+    for ins in (instr("vextractf128", Imm(1), ymm(16), xmm(1)),
+                instr("vxorpd", xmm(16), xmm(16), xmm(16)),
+                instr("vaddpd", ymm(1), ymm(20), ymm(1)),
+                instr("addpd", xmm(1), xmm(16))):
+        assert ins.unencodable_register() is not None, ins
+    # registers 0-15 are never the problem
+    assert instr("vextractf128", Imm(1), ymm(15), xmm(1)) \
+        .unencodable_register() is None
 
 
 def test_unknown_mnemonic_rejected():

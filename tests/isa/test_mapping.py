@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.isa.arch import GENERIC_SSE, HASWELL, PILEDRIVER, SANDYBRIDGE
+from repro.isa.arch import (GENERIC_SSE, HASWELL, PILEDRIVER, SANDYBRIDGE,
+                            SKYLAKE_X)
 from repro.isa.mapping import MappingRules
 from repro.isa.operands import Imm, Mem
 from repro.isa.registers import GP, xmm
@@ -116,6 +117,16 @@ def test_shufpd_combine_sse_copies_when_needed():
 def test_zero_idioms():
     assert mnems(MappingRules(GENERIC_SSE).vzero(R1)) == ["xorpd"]
     assert mnems(MappingRules(HASWELL).vzero(R1)) == ["vxorpd"]
+
+
+def test_zmm_zero_idiom_is_vex_below_16_and_evex_above():
+    rules = MappingRules(SKYLAKE_X)
+    low, = rules.vzero(xmm(15))
+    assert str(low) == "vxorpd\t%xmm15, %xmm15, %xmm15"
+    high, = rules.vzero(xmm(16))
+    assert str(high) == "vpxord\t%zmm16, %zmm16, %zmm16"
+    assert low.unencodable_register() is None
+    assert high.unencodable_register() is None
 
 
 def test_hreduce_shapes():

@@ -67,11 +67,14 @@ def test_doubles_per_vector():
     assert SKYLAKE_X.doubles_per_vector == 8
 
 
-def test_skylake_x_keeps_the_vex_register_file():
-    # zmm16-31 are EVEX-only: the tier reuses Haswell's 16-register plan
+def test_skylake_x_has_the_32_register_evex_file():
+    # zmm16-31 are EVEX-only; AVX-512 targets have them, no other does
     assert SKYLAKE_X.simd == "avx" and SKYLAKE_X.fma == "fma3"
-    assert SKYLAKE_X.vector_bytes == 64 and SKYLAKE_X.n_vector_regs == 16
+    assert SKYLAKE_X.vector_bytes == 64 and SKYLAKE_X.n_vector_regs == 32
     assert "avx512" in str(SKYLAKE_X)
+    for arch in ALL_ARCHS.values():
+        if arch is not SKYLAKE_X:
+            assert arch.n_vector_regs == 16, arch.name
 
 
 def test_arch_validation():

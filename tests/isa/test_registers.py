@@ -40,6 +40,13 @@ def test_vec_constructor():
         vec(2, 8)
 
 
+def test_the_evex_only_registers_are_named():
+    assert str(vec(31, 64)) == "%zmm31" and vec(31, 64).index == 31
+    assert vec(16, 16).name == "xmm16" and vec(16, 64).xmm == xmm(16)
+    with pytest.raises(KeyError):
+        vec(32, 64)
+
+
 def test_zmm_shares_index_with_xmm_and_ymm():
     z = xmm(9).as_width(64)
     assert z.name == "zmm9" and z.width == 64 and z.index == 9

@@ -57,7 +57,7 @@ def _samples():
     nodes = list(prog.walk())
     region = C.TaggedRegion(
         "mvUnrolledCOMP", [parse_stmt("y[0] += x[0] * a;")],
-        {"alpha": C.Id("a"), "n": 2}, frozenset({"a"}))
+        {"alpha": C.Id("a"), "n": 2})
     nodes += list(region.walk())
     nodes += [C.Call("prefetch_t0", []), C.Return(),
               C.If(C.Id("c"), C.Block([])), C.Decl("d", C.DOUBLE),
@@ -121,14 +121,12 @@ def test_clone_keeps_annotations_and_shares_no_node_or_list():
 
 def test_clone_copies_region_payload():
     region = C.TaggedRegion("mvCOMP", [parse_stmt("y[0] = x[0];")],
-                            {"arr": C.Id("x"), "lanes": [1, 2]},
-                            frozenset({"x"}))
+                            {"arr": C.Id("x"), "lanes": [1, 2]})
     copy = region.clone()
     assert copy.binding == region.binding
     assert copy.binding is not region.binding
     assert copy.binding["arr"] is not region.binding["arr"]
     assert copy.binding["lanes"] is not region.binding["lanes"]
-    assert copy.live_out == region.live_out
 
 
 def test_rewrite_is_bottom_up():

@@ -7,10 +7,15 @@ from repro.blas.kernels import DOT_SIMPLE_C, GEMM_SIMPLE_C
 from repro.poet import cast as C
 from repro.poet.parser import parse_function
 from repro.poet.printer import to_c
+from repro.blas.kernels import KERNEL_SOURCES
+from repro.core.framework import Augem, default_config
+from repro.isa.arch import SKYLAKE_X
+from repro.poet.symtab import SymbolTable
 from repro.transforms.pipeline import (
     OptimizationConfig,
     build_pipeline,
     optimize_c_kernel,
+    optimize_with_symtab,
 )
 
 from tests.conftest import needs_cc
@@ -47,6 +52,33 @@ def test_optimize_does_not_mutate_input_function():
 def test_optimize_accepts_source_text():
     out = optimize_c_kernel(GEMM_SIMPLE_C, OptimizationConfig())
     assert out.name == "dgemm_kernel"
+
+
+@pytest.mark.parametrize("family", sorted(KERNEL_SOURCES))
+def test_kept_symbol_table_matches_a_rebuilt_one(family):
+    # the transforms declare what they add, so the one table built after
+    # unrolling describes the final function exactly (in its own order)
+    source, _ = KERNEL_SOURCES[family]
+    cfg = default_config(family, SKYLAKE_X).with_(prefetch_distance=64)
+    fn, symtab = optimize_with_symtab(source, cfg)
+    rebuilt = SymbolTable.of_function(fn)
+    assert {n: symtab.type_of(n) for n in symtab} == \
+        {n: rebuilt.type_of(n) for n in rebuilt}
+    assert symtab.params == rebuilt.params
+
+
+def test_one_generation_builds_one_symbol_table(monkeypatch):
+    builds = []
+    real = SymbolTable.of_function.__func__
+
+    def counting(cls, fn):
+        builds.append(fn.name)
+        return real(cls, fn)
+
+    monkeypatch.setattr(SymbolTable, "of_function", classmethod(counting))
+    cfg = default_config("gemm", SKYLAKE_X).with_(prefetch_distance=64)
+    Augem(arch=SKYLAKE_X).generate_named("gemm", config=cfg)
+    assert builds == ["dgemm_kernel"]
 
 
 def test_config_describe_and_with():

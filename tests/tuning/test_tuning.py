@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.framework import default_config
 from repro.isa.arch import GENERIC_SSE, HASWELL, SKYLAKE_X
 from repro.transforms.pipeline import OptimizationConfig
 from repro.tuning.space import (
@@ -44,18 +45,26 @@ def test_gemm_space_shuf_candidates_on_shuf_layout():
                    for c in gemm_candidates(HASWELL, layout="dup"))
 
 
-def test_gemm_space_on_skylake_x_fits_the_16_zmm_registers():
+def test_gemm_space_on_skylake_x_fits_the_32_zmm_registers():
     n = SKYLAKE_X.doubles_per_vector
+    assert SKYLAKE_X.n_vector_regs == 32
     cands = gemm_candidates(SKYLAKE_X)
     assert cands
+    tiles = set()
     for c in cands:
         tile = dict(c.config.unroll_jam)
         nu, mu = tile["j"], tile["i"]
         assert mu % n == 0
         assert nu * (mu // n) + mu // n + 1 <= SKYLAKE_X.n_vector_regs
-    # the default 4x24 tile (12 accumulators) is one of them
-    assert any(dict(c.config.unroll_jam) == {"j": 4, "i": 3 * n}
-               for c in cands)
+        tiles.add((nu, mu))
+    # the default 24x8 tile (24 accumulators) is one of them, with the
+    # default's l-unroll, and so is the 16-register 24x4 tile
+    default = default_config("gemm", SKYLAKE_X)
+    assert dict(default.unroll_jam) == {"j": 8, "i": 3 * n}
+    assert any(c.config == default for c in cands)
+    assert (4, 3 * n) in tiles
+    # 32x8 needs 8*4 + 4 + 1 = 37 registers: the fit test drops it
+    assert (8, 4 * n) not in tiles and (6, 4 * n) in tiles
     # the Shuf method stops at 4 lanes, so no shuf candidates at 8
     assert not any(c.strategy == "shuf"
                    for c in gemm_candidates(SKYLAKE_X, layout="shuf"))
@@ -256,7 +265,7 @@ def test_tune_kernel_records_failures_and_survives():
     # an over-aggressive unroll that blows the register file must be
     # recorded as a failed trial, not crash the search
     cands = [
-        Candidate(OptimizationConfig(unroll_jam=(("j", 8), ("i", 16)))),
+        Candidate(OptimizationConfig(unroll_jam=(("j", 16), ("i", 32)))),
         Candidate(OptimizationConfig(unroll_jam=(("j", 2), ("i", 8)))),
     ]
     result = tune_kernel("gemm", candidates=cands, batches=2)
