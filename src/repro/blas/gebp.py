@@ -23,18 +23,33 @@ block: for every column of the range it
    order, so that one slice of B serves every tile of the column,
 2. packs each tile's A block with ``alpha`` folded in
    (``A[l*Mc + i]``), and
-3. calls the micro-kernel through a function pointer.  A whole tile of
-   a native kernel accumulates straight into its block of the
-   destination (``ldc`` is the destination's row stride); an edge tile,
-   or any tile of a kernel reached through the driver's Python
-   trampoline, goes through a zeroed scratch tile whose ``im x jn``
-   corner is added into the destination.
+3. calls the micro-kernel through a function pointer on at most four
+   rectangles of the tile.
 
-Either way every element is ``((beta*C + r1) + r2) + ...`` over its Kc
-slices in ascending order: the kernel's accumulators start at ``+0.0``,
-so adding a slice's result to a zeroed scratch tile changes no bit of
-it, and results do not depend on which tiles are whole, hence not on
-the thread count.
+**Edge tiles.**  An ``im x jn`` tile is cut after its last whole
+micro-tile, at ``im_w = im - im % mu`` rows and ``jn_w = jn - jn % nu``
+columns.  The whole x whole rectangle of a native kernel accumulates
+straight into its block of the destination (``ldc`` is the
+destination's row stride).  The whole x edge, edge x whole and edge x
+edge rectangles run the same kernel on strips padded to ``mu`` rows or
+``nu`` columns, into a zeroed scratch tile whose valid corner is added
+into the destination; a kernel reached through the driver's Python
+trampoline runs its whole x whole rectangle that way too.  The panels
+follow one rule for A and both B layouts: the ragged part is a panel of
+its own, padded to one step, right after the whole part (at
+``im_w*Kc`` in the A block, ``jn_w*Kc`` in a B panel, ``Kc`` standing
+for the slice's depth rounded to ``ku``).  The dup layout has that
+shape already; A and shuf B are packed with the whole part's own width
+as their leading dimension (:func:`repro.blas.packing.pack_a_block`,
+:func:`repro.blas.packing.pack_b_panel`).
+
+Every element is ``((beta*C + r1) + r2) + ...`` over its Kc slices in
+ascending order, whichever rectangle holds it: the kernel's
+accumulators start at ``+0.0`` and never hold ``-0.0``, so adding a
+slice's result to a zeroed scratch tile changes no bit of it, and each
+result element is one multiply-add chain over ``l`` on the same packed
+row of A and column of B.  Results therefore depend neither on which tiles are
+ragged nor on the thread count.
 
 Operands are read and the destination written through their (row,
 column) element strides, so F-ordered, transposed, negative-stride and
@@ -128,6 +143,40 @@ static void add_tile(double *out, long os0, long os1, const double *c,
     }
 }
 
+/* A Kc slice whose x extent the kernel steps by mult, packed as two
+   panels: the whole mult-groups as dst[l*xw + x] (x < xw), then the
+   ragged rest, zero-padded to mult, as dst[xw*ln_pad + l*mult + x].
+   src[l*ls + x*xs] is the slice's element (l, x). */
+static void pack_split(double *dst, const double *src, long ls, long xs,
+                       long ln, long ln_pad, long x, long mult, double scale)
+{
+    long xw = x - x % mult;
+    pack(dst, xw, src, ls, xs, ln, xw, ln_pad, xw, scale);
+    if (xw < x)
+        pack(dst + xw * ln_pad, mult, src + xw * xs, ls, xs, ln, x - xw,
+             ln_pad, mult, scale);
+}
+
+/* The kernel on one rm x rn rectangle of a tile, whose valid corner is
+   im x jn: straight into out when direct, else into the zeroed scratch
+   tile c, whose corner is then added into out.  Nothing runs on an
+   empty rectangle.  Kept out of line: four inlined copies of its loops
+   lengthen the build, which sits on a cold start's path. */
+static __attribute__((noinline)) void rect(gebp_kernel kernel, long rm, long rn, long ln_pad,
+                 double *a, double *b, double *out, long os0, long os1,
+                 double *c, long im, long jn, int direct)
+{
+    if (im == 0 || jn == 0)
+        return;
+    if (direct) {
+        kernel(rm, rn, ln_pad, a, b, out, os0);
+        return;
+    }
+    memset(c, 0, (size_t)(rm * rn) * sizeof(double));
+    kernel(rm, rn, ln_pad, a, b, c, rm);
+    add_tile(out, os0, os1, c, rm, im, jn);
+}
+
 /* out += a @ b over range p[P_THREAD] of p[P_NTHREADS] of the
    column-major mc x nc tile grid, where a is m x k and b is k x n; out
    is indexed [j, i].
@@ -136,9 +185,15 @@ static void add_tile(double *out, long os0, long os1, const double *c,
    the scratch tile, each starting on a 64-byte boundary.  The range
    runs in groups: the run of its tiles that share a column.  A group's
    column is packed once, then each Kc slice in ascending order serves
-   every tile of the group.  A whole tile of a native kernel (direct)
-   accumulates each slice straight into out; any other tile goes
-   through the scratch tile once per slice. */
+   every tile of the group.
+
+   A tile is cut at im_w = im - im % mu rows and jn_w = jn - jn % nu
+   columns.  The ragged part of the A block and of a B panel is its own
+   mu- or nu-padded panel at im_w*ln_pad and jn_w*ln_pad (pack_split; a
+   dup panel has that shape already).  The whole x whole rectangle of a
+   native kernel (direct) accumulates each slice straight into out; the
+   three edge rectangles, and every rectangle of any other kernel, go
+   through the scratch tile. */
 void augem_gemm(gebp_kernel kernel, const double *a, const double *b,
                 double *out, double *ws, const long *p, double alpha)
 {
@@ -150,6 +205,7 @@ void augem_gemm(gebp_kernel kernel, const double *a, const double *b,
     long mtiles = (m + mc - 1) / mc, ntiles = mtiles * ((n + nc - 1) / nc);
     long t = ntiles * p[P_THREAD] / p[P_NTHREADS];
     long stop = ntiles * (p[P_THREAD] + 1) / p[P_NTHREADS];
+    int direct = p[P_DIRECT] && os1 == 1;
     double *a_buf = ws, *b_buf = ws + round_up(mc * kc, 8), *c_buf = b_buf;
     long l0;
 
@@ -158,7 +214,8 @@ void augem_gemm(gebp_kernel kernel, const double *a, const double *b,
 
     while (t < stop) {
         long col = t / mtiles, j0 = col * nc;
-        long jn = min_long(nc, n - j0), jn_pad = round_up(jn, nu);
+        long jn = min_long(nc, n - j0), jn_w = jn - jn % nu;
+        long jn_pad = round_up(jn, nu);
         long end = min_long(stop, (col + 1) * mtiles);
         double *panel = b_buf;
 
@@ -166,8 +223,7 @@ void augem_gemm(gebp_kernel kernel, const double *a, const double *b,
             long ln = min_long(kc, k - l0), ln_pad = round_up(ln, ku);
             const double *src = b + l0 * bs0 + j0 * bs1;
             if (p[P_SHUF])
-                pack(panel, jn_pad, src, bs0, bs1, ln, jn, ln_pad, jn_pad,
-                     1.0);
+                pack_split(panel, src, bs0, bs1, ln, ln_pad, jn, nu, 1.0);
             else
                 pack(panel, ln_pad, src, bs1, bs0, jn, ln, jn_pad, ln_pad,
                      1.0);
@@ -177,21 +233,24 @@ void augem_gemm(gebp_kernel kernel, const double *a, const double *b,
         panel = b_buf;
         for (l0 = 0; l0 < k; l0 += kc) {
             long ln = min_long(kc, k - l0), ln_pad = round_up(ln, ku);
+            double *b_edge = panel + jn_w * ln_pad;
             for (long u = t; u < end; u++) {
                 long i0 = (u - col * mtiles) * mc;
-                long im = min_long(mc, m - i0), im_pad = round_up(im, mu);
+                long im = min_long(mc, m - i0), im_w = im - im % mu;
+                double *a_edge = a_buf + im_w * ln_pad;
                 double *dst = out + j0 * os0 + i0 * os1;
-                pack(a_buf, im_pad, a + i0 * as0 + l0 * as1, as1, as0, ln, im,
-                     ln_pad, im_pad, alpha);
-                if (p[P_DIRECT] && os1 == 1 && im == im_pad && jn == jn_pad) {
-                    kernel(im_pad, jn_pad, ln_pad, a_buf, panel, dst, os0);
-                } else {
-                    memset(c_buf, 0,
-                           (size_t)(im_pad * jn_pad) * sizeof(double));
-                    kernel(im_pad, jn_pad, ln_pad, a_buf, panel, c_buf,
-                           im_pad);
-                    add_tile(dst, os0, os1, c_buf, im_pad, im, jn);
-                }
+                double *dst_i = dst + im_w * os1, *dst_j = dst + jn_w * os0;
+                pack_split(a_buf, a + i0 * as0 + l0 * as1, as1, as0, ln,
+                           ln_pad, im, mu, alpha);
+                rect(kernel, im_w, jn_w, ln_pad, a_buf, panel, dst, os0, os1,
+                     c_buf, im_w, jn_w, direct);
+                rect(kernel, im_w, nu, ln_pad, a_buf, b_edge, dst_j, os0, os1,
+                     c_buf, im_w, jn - jn_w, 0);
+                rect(kernel, mu, jn_w, ln_pad, a_edge, panel, dst_i, os0, os1,
+                     c_buf, im - im_w, jn_w, 0);
+                rect(kernel, mu, nu, ln_pad, a_edge, b_edge,
+                     dst_i + jn_w * os0, os0, os1, c_buf, im - im_w,
+                     jn - jn_w, 0);
             }
             panel += round_up(ln_pad * jn_pad, 8);
         }
@@ -236,7 +295,11 @@ def tiles(m: int, n: int, mc: int, nc: int, thread: int, nthreads: int):
 def workspace_size(k: int, mc: int, nc: int, kc: int, ku: int) -> int:
     """Elements of ``augem_gemm``'s workspace as the C loop lays it out:
     the A block, every Kc panel of one B column and the scratch tile,
-    each but the last rounded up to 8 elements."""
+    each but the last rounded up to 8 elements.
+
+    A ragged A block is its ``im_w`` whole rows then a ``mu``-row strip,
+    ``im_w + mu <= mc`` rows in all, so it fits ``mc * kc``; the scratch
+    tile holds any one rectangle of a tile, at most ``mc * nc``."""
     full, rest = divmod(k, kc)
     panels = full * round_up(round_up(kc, ku) * nc, 8)
     if rest:

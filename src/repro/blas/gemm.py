@@ -21,9 +21,10 @@ The driver:
    column-major tile grid, takes its contiguous share of it and runs
    that share in Goto's order — it packs the B panels of each column it
    covers once, and for each Kc slice packs every tile's A block with
-   alpha folded in and calls the micro-kernel, which accumulates a whole
-   tile straight into the result (edge tiles go through a scratch tile
-   and are added).  It reads the operands through their strides, so
+   alpha folded in and calls the micro-kernel, which accumulates the
+   tile's whole ``mu x nu`` micro-tiles straight into the result; only a
+   ragged tile's edge strips run padded into a scratch tile whose valid
+   corner is added.  It reads the operands through their strides, so
    F-ordered, transposed and sliced inputs are never copied.  With more
    than one thread the calls run on the persistent
    :class:`~repro.blas.threading.WorkerPool`; the native call releases
@@ -32,10 +33,10 @@ The driver:
 Parallel execution is **bit-identical** to single-threaded execution at
 any thread count: each (jc, ic) macro-tile is computed by exactly one
 native call, every element is ``((beta*C + r1) + r2) + ...`` over its
-Kc slices in ascending order whether its tile is whole or an edge (see
-:mod:`repro.blas.gebp`), and tiles land in disjoint blocks of the
-result — so no floating-point operation ever reorders, whatever the
-scheduling.  A column split across two ranges has its B panels packed
+Kc slices in ascending order whether it lies in a whole micro-tile or an
+edge strip (see :mod:`repro.blas.gebp`), and tiles land in disjoint
+blocks of the result — so no floating-point operation ever reorders,
+whatever the scheduling.  A column split across two ranges has its B panels packed
 by both.
 
 A checked or fault-planned call keeps the decisions around the loop,
@@ -282,12 +283,12 @@ class GemmDriver:
             b.strides[0] // 8, b.strides[1] // 8,
             out.strides[0] // 8, out.strides[1] // 8,
             self.layout == "shuf", direct, thread, nthreads)
-        ws = pool.acquire(size)
+        ws, ws_address = pool.lend(size)
         try:
             if not direct:
                 kernel = _trampoline(self.kernel, errors)
             self._gemm(kernel, a.ctypes.data, b.ctypes.data, out.ctypes.data,
-                       ws.ctypes.data, params, alpha)
+                       ws_address, params, alpha)
         finally:
             pool.release(ws)
         if errors:

@@ -15,6 +15,15 @@ All packers accept arbitrary (even non-contiguous) float64 2-D inputs and
 zero-pad to the requested panel dimensions, so the remainder-free
 micro-kernel can run over every edge block.
 
+The native loop splits every edge block at its last whole kernel step
+(``mu`` rows of A, ``nu`` columns of B): :func:`pack_a_block` and
+:func:`pack_b_panel` give the whole part as one panel whose leading
+dimension is its own extent, followed by the ragged rest zero-padded to
+one step as a panel of its own.  Each part is what one kernel call
+reads.  For the dup layout that is :func:`pack_b_dup` at the padded
+width; for A and the shuf layout the rest moves out of the whole part's
+rows.
+
 Every packer takes an optional ``out`` — a flat float64 buffer of exactly
 the panel's element count (typically lent by
 :class:`~repro.blas.threading.PackBufferPool`) — and writes in place
@@ -87,6 +96,40 @@ def pack_b_shuf(block: np.ndarray, kc: int, nc: int,
         panel[:k, cols:] = 0.0
     panel[:k, :cols] = block
     return panel.ravel() if out is None else out
+
+
+def _whole_then_rest(pack, block: np.ndarray, axis: int,
+                     mult: int) -> np.ndarray:
+    """``pack(part, width)`` of the whole ``mult``-groups of ``block``
+    along ``axis``, then of the ragged rest padded to ``mult``, end to
+    end."""
+    extent = block.shape[axis]
+    whole = extent - extent % mult
+    head, rest = np.split(block, [whole], axis=axis)
+    parts = [pack(head, whole)]
+    if whole < extent:
+        parts.append(pack(rest, mult))
+    return np.concatenate(parts)
+
+
+def pack_a_block(block: np.ndarray, kc: int, mu: int,
+                 alpha: float = 1.0) -> np.ndarray:
+    """An A block (rows x k) as the native loop packs it: the rows of
+    whole ``mu``-groups as ``pack_a`` of their count, then the ragged rows
+    as ``pack_a`` padded to ``mu``, starting at ``whole * kc``."""
+    return _whole_then_rest(
+        lambda part, width: pack_a(part, width, kc, alpha=alpha),
+        block, 0, mu)
+
+
+def pack_b_panel(block: np.ndarray, kc: int, nu: int,
+                 layout: str = "dup") -> np.ndarray:
+    """A B block (k x cols) as the native loop packs it for ``layout``:
+    the columns of whole ``nu``-groups as one panel of their width, then
+    the ragged columns padded to ``nu``, starting at ``whole * kc``."""
+    pack = pack_b_dup if layout == "dup" else pack_b_shuf
+    return _whole_then_rest(lambda part, width: pack(part, kc, width),
+                            block, 1, nu)
 
 
 def unpack_a(packed: np.ndarray, mc: int, kc: int) -> np.ndarray:

@@ -27,7 +27,7 @@ import os
 import threading
 import time
 import weakref
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,18 +85,22 @@ class PackBufferPool:
     ``acquire`` returns a C-contiguous, 64-byte-aligned 1-D array of
     exactly ``size`` elements (contents unspecified — packers overwrite
     every element, padding included); ``release`` returns it for reuse.
-    The pool keeps at most ``max_free_per_size`` spares per size so
-    pathological shape churn cannot hoard memory, and it tracks every
-    outstanding buffer by identity: double-lending or double-releasing
-    raises :class:`PoolAliasError` instead of corrupting a concurrent
-    caller.
+    :meth:`lend` is ``acquire`` that also returns the buffer's data
+    address, recorded once when the buffer was allocated, for callers
+    that hand it to C on every call.  The pool keeps at most
+    ``max_free_per_size`` spares per size so pathological shape churn
+    cannot hoard memory, and it tracks every outstanding buffer by
+    identity: double-lending or double-releasing raises
+    :class:`PoolAliasError` instead of corrupting a concurrent caller.
     """
 
     def __init__(self, max_free_per_size: int = 32) -> None:
         self.max_free_per_size = max_free_per_size
         self._lock = threading.Lock()
-        self._free: Dict[int, List[np.ndarray]] = {}
-        self._outstanding: Dict[int, int] = {}  # id(buf) -> size
+        #: size -> spare (buffer, data address) pairs
+        self._free: Dict[int, List[Tuple[np.ndarray, int]]] = {}
+        #: id(buf) -> (size, data address) of every lent buffer
+        self._outstanding: Dict[int, Tuple[int, int]] = {}
         self.hits = 0
         self.misses = 0
         self.allocations = 0
@@ -111,37 +115,41 @@ class PackBufferPool:
             return len(self._outstanding)
 
     def acquire(self, size: int) -> np.ndarray:
+        return self.lend(size)[0]
+
+    def lend(self, size: int) -> Tuple[np.ndarray, int]:
+        """A buffer of ``size`` elements (as :meth:`acquire`) and its
+        data address."""
         size = int(size)
         with self._lock:
             free = self._free.get(size)
             if free:
-                buf = free.pop()
+                buf, address = free.pop()
                 self.hits += 1
                 incr("gemm.pack_pool.hit")
+                if id(buf) in self._outstanding:
+                    raise PoolAliasError(
+                        f"buffer of size {size} lent twice concurrently")
             else:
-                buf = None
                 self.misses += 1
                 self.allocations += 1
                 self.allocated_bytes += size * 8
                 incr("gemm.pack_pool.miss")
-            if buf is not None and id(buf) in self._outstanding:
-                raise PoolAliasError(
-                    f"buffer of size {size} lent twice concurrently")
-            if buf is None:
                 buf = _aligned_empty(size)
-            self._outstanding[id(buf)] = size
-        return buf
+                address = buf.ctypes.data
+            self._outstanding[id(buf)] = (size, address)
+        return buf, address
 
     def release(self, buf: np.ndarray) -> None:
         with self._lock:
-            size = self._outstanding.pop(id(buf), None)
-            if size is None:
+            lent = self._outstanding.pop(id(buf), None)
+            if lent is None:
                 raise PoolAliasError(
                     "released a buffer the pool did not lend (or released "
                     "it twice)")
-            free = self._free.setdefault(size, [])
+            free = self._free.setdefault(lent[0], [])
             if len(free) < self.max_free_per_size:
-                free.append(buf)
+                free.append((buf, lent[1]))
 
     def drain_free(self) -> int:
         """Drop every cached spare buffer; returns bytes released.
@@ -153,7 +161,7 @@ class PackBufferPool:
         """
         with self._lock:
             released = sum(buf.size * 8 for bufs in self._free.values()
-                           for buf in bufs)
+                           for buf, _ in bufs)
             self._free.clear()
         return released
 

@@ -18,7 +18,9 @@ The allocation strategy follows the paper:
 - assignments are remembered in a global ``reg_table`` so decisions stay
   consistent across template regions and the surrounding code (Fig. 2);
 - a register is released — and its entry dropped from ``reg_table`` —
-  only when its variable's live range ends.
+  only when its variable's live range ends.  Entries wait in a heap
+  keyed by their last-use position, so each statement releases only
+  what expires there instead of asking about every live entry.
 
 Vectorized scalars live in *lanes* of a shared register; :class:`Pack`
 records the member order so the store/reduce optimizers can match layout.
@@ -26,6 +28,7 @@ records the member order so the store/reduce optimizers can match layout.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -127,6 +130,13 @@ class VectorAllocator:
         #: the paper's global variable->register map (Fig. 2: ``reg_table``)
         self.reg_table: Dict[str, Loc] = {}
         self._reg_owner: Dict[int, str] = {}  # reg index -> class it came from
+        self._entries = 0  # reg_table insertions so far
+        #: (insertion number, var, loc) of entries not yet keyed by their
+        #: last use (see release_dead)
+        self._unkeyed: List[tuple] = []
+        #: (last use, insertion number, var, loc) of keyed entries; one
+        #: whose ``loc`` no longer sits in ``reg_table`` is stale
+        self._expiry: List[tuple] = []
 
     # -- raw register management ---------------------------------------------
     def _pop(self, cls: str) -> Register:
@@ -164,7 +174,7 @@ class VectorAllocator:
             return existing
         reg = self._pop(cls)
         loc = Loc(reg)
-        self.reg_table[var] = loc
+        self._track(var, loc)
         return loc
 
     def alloc_pack(self, members: Sequence[str], cls: str,
@@ -178,8 +188,13 @@ class VectorAllocator:
         reg = self._pop(cls)
         pack = Pack(reg=reg, members=list(members), layout=layout)
         for lane, m in enumerate(members):
-            self.reg_table[m] = Loc(reg, lane=lane, pack=pack)
+            self._track(m, Loc(reg, lane=lane, pack=pack))
         return pack
+
+    def _track(self, var: str, loc: Loc) -> None:
+        self.reg_table[var] = loc
+        self._entries += 1
+        self._unkeyed.append((self._entries, var, loc))
 
     def release_var(self, var: str) -> None:
         """Release ``var``; frees the register once no pack member needs it."""
@@ -192,8 +207,23 @@ class VectorAllocator:
         self.free_reg(loc.reg)
 
     def release_dead(self, liveness, pos: int) -> None:
-        """Release every tracked variable dead after flattened position ``pos``."""
-        for var in [v for v in self.reg_table if liveness.dead_after(v, pos)]:
+        """Release every tracked variable dead after flattened position
+        ``pos``, in ``reg_table`` order.
+
+        Each entry's last use is read once, at the first call after it
+        was made; the heap then yields exactly the entries whose last
+        use is at or before ``pos`` (positions need not ascend between
+        calls: a loop statement's position precedes its body's)."""
+        for seq, var, loc in self._unkeyed:
+            heapq.heappush(self._expiry,
+                           (liveness.last_use(var), seq, var, loc))
+        self._unkeyed.clear()
+        expired = []
+        while self._expiry and self._expiry[0][0] <= pos:
+            _, seq, var, loc = heapq.heappop(self._expiry)
+            if self.reg_table.get(var) is loc:
+                expired.append((seq, var))
+        for _, var in sorted(expired):
             self.release_var(var)
 
     # -- introspection -------------------------------------------------------

@@ -1,9 +1,11 @@
 """The native GEMM loop: its packing and loop order against the numpy
 layout spec, strided operands read in place, native kernels accumulating
-whole tiles straight into the result, errors raised inside the kernel
-trampoline or the verification after the call, and the one tiling rule:
-one ``augem_gemm`` call per thread range, with the single-threaded bits
-at every thread count.
+whole micro-tiles straight into the result and only the ragged strips
+through scratch, bit for bit as when ragged tiles ran whole, the
+workspace bound, errors raised inside the kernel trampoline or the
+verification after the call, and the one tiling rule: one
+``augem_gemm`` call per thread range, with the single-threaded bits at
+every thread count.
 
 A recording kernel, reached through the driver's ctypes trampoline,
 sees every packed A block and B panel the C loop hands the micro-kernel;
@@ -26,7 +28,8 @@ from repro.blas import gemm as gemm_module
 from repro.blas.api import AugemBLAS
 from repro.blas.gemm import BlockSizes, GemmDriver, split_for_threads
 from repro.blas.guard import BlasArgumentError
-from repro.blas.packing import pack_a, pack_b_dup, pack_b_shuf
+from repro.blas.packing import (pack_a, pack_a_block, pack_b_dup,
+                                pack_b_panel, pack_b_shuf)
 from tests.conftest import needs_cc
 
 pytestmark = needs_cc
@@ -38,10 +41,10 @@ MU, NU, KU = 4, 2, 2
 class _RecordingKernel:
     """A numpy micro-kernel that keeps a copy of every panel it gets."""
 
-    generated = SimpleNamespace(config=SimpleNamespace(
-        unroll_jam=(("i", MU), ("j", NU)), unroll=(("l", KU),)))
-
-    def __init__(self, layout: str) -> None:
+    def __init__(self, layout: str, mults=(MU, NU, KU)) -> None:
+        mu, nu, ku = mults
+        self.generated = SimpleNamespace(config=SimpleNamespace(
+            unroll_jam=(("i", mu), ("j", nu)), unroll=(("l", ku),)))
         self.layout = layout
         self.calls = []
 
@@ -50,6 +53,9 @@ class _RecordingKernel:
         # into the result that spans other tiles' blocks
         assert ldc == mc, "non-native kernel handed the result"
         self.calls.append((mc, nc, kc, a.copy(), b.copy()))
+        self.accumulate(mc, nc, kc, a, b, c, ldc)
+
+    def accumulate(self, mc, nc, kc, a, b, c, ldc):
         am = a.reshape(kc, mc)
         bm = b.reshape(nc, kc) if self.layout == "dup" else \
             b.reshape(kc, nc).T
@@ -60,29 +66,48 @@ def _round_up(x, mult):
     return -(-x // mult) * mult
 
 
+def _grid(m, n, k, blocks, mults):
+    """(mc, nc, kc) as the driver rounds ``blocks`` for the swapped
+    (m, n, k) and the kernel's multiples, on one thread."""
+    mu, nu, ku = mults
+    return (max(_round_up(min(blocks.mc, m), mu), mu),
+            max(_round_up(min(blocks.nc, n), nu), nu),
+            max(_round_up(min(blocks.kc, k), ku), ku))
+
+
 def _expected_calls(a, b, alpha, layout):
-    """The driver's kernel calls over its swapped operands, packed by
-    :mod:`repro.blas.packing`, in the loop's one order: column -> Kc
-    slice -> tile."""
-    pack_b = pack_b_dup if layout == "dup" else pack_b_shuf
+    """The driver's kernel calls over its swapped operands, in the loop's
+    one order: column -> Kc slice -> tile -> rectangle.
+
+    Each tile's rows are cut at their last whole MU-group and its columns
+    at their last whole NU-group: up to four rectangles, whole x whole,
+    whole x edge, edge x whole and edge x edge, each a call on its part
+    of :mod:`repro.blas.packing`'s split A block and B panel; an empty
+    rectangle makes no call."""
     a, b = b.T, a.T
     (m, k), n = a.shape, b.shape[1]
-    mc = _round_up(min(BLOCKS.mc, m), MU)
-    nc = _round_up(min(BLOCKS.nc, n), NU)
-    kc = _round_up(min(BLOCKS.kc, k), KU)
-    slices = range(0, k, kc)
+    mc, nc, kc = _grid(m, n, k, BLOCKS, (MU, NU, KU))
     for j0 in range(0, n, nc):
         jn = min(nc, n - j0)
-        for l0 in slices:
+        jn_w = jn - jn % NU
+        for l0 in range(0, k, kc):
+            ln = min(kc, k - l0)
+            ln_pad = _round_up(ln, KU)
+            panel = pack_b_panel(b[l0:l0 + ln, j0:j0 + jn], ln_pad, NU,
+                                 layout)
+            b_parts = [(jn_w, jn_w, panel[:jn_w * ln_pad]),
+                       (NU, jn - jn_w, panel[jn_w * ln_pad:])]
             for i0 in range(0, m, mc):
-                im, ln = min(mc, m - i0), min(kc, k - l0)
-                im_pad, jn_pad, ln_pad = (_round_up(im, MU),
-                                          _round_up(jn, NU),
-                                          _round_up(ln, KU))
-                yield (im_pad, jn_pad, ln_pad,
-                       pack_a(a[i0:i0 + im, l0:l0 + ln], im_pad, ln_pad,
-                              alpha=alpha),
-                       pack_b(b[l0:l0 + ln, j0:j0 + jn], ln_pad, jn_pad))
+                im = min(mc, m - i0)
+                im_w = im - im % MU
+                block = pack_a_block(a[i0:i0 + im, l0:l0 + ln], ln_pad, MU,
+                                     alpha=alpha)
+                a_parts = [(im_w, im_w, block[:im_w * ln_pad]),
+                           (MU, im - im_w, block[im_w * ln_pad:])]
+                for rm, valid_m, a_part in a_parts:
+                    for rn, valid_n, b_part in b_parts:
+                        if valid_m and valid_n:
+                            yield rm, rn, ln_pad, a_part, b_part
 
 
 def _operands(kind, m, n, k, rng):
@@ -435,7 +460,7 @@ class _TallyKernel(_RecordingKernel):
 
     def __call__(self, mc, nc, kc, a, b, c, ldc):
         self.tally += 1
-        c.reshape(nc, ldc)[:, :mc] += b.reshape(nc, kc) @ a.reshape(kc, mc)
+        self.accumulate(mc, nc, kc, a, b, c, ldc)
 
 
 def test_tiny_blocks_run_fifteen_thousand_tiles(rng):
@@ -457,3 +482,123 @@ def test_tiny_blocks_run_fifteen_thousand_tiles(rng):
             base = got
         assert got.tobytes() == base.tobytes()
         assert driver.pack_pool.outstanding == 0
+
+
+# -- edge tiles: whole micro-tiles in place, only the ragged strips padded ---
+
+
+def _whole_tile_rule(kernel, layout, mults, blocks, a, b, c, alpha, beta):
+    """``alpha * a @ b + beta * c`` by the rule that ran every ragged tile
+    whole: the raw kernel once per tile and Kc slice, on
+    :mod:`repro.blas.packing`'s panels padded to (mu, nu), into a zeroed
+    scratch tile whose valid corner is added into the result."""
+    pack_b = pack_b_dup if layout == "dup" else pack_b_shuf
+    out = np.zeros(c.shape) if beta == 0.0 else \
+        np.multiply(c, beta, order="C")
+    a, b = b.T, a.T  # the driver's swap: out[j, i] is the kernel's C
+    (m, k), n = a.shape, b.shape[1]
+    mu, nu, ku = mults
+    mc, nc, kc = _grid(m, n, k, blocks, mults)
+    for j0 in range(0, n, nc):
+        jn = min(nc, n - j0)
+        for l0 in range(0, k, kc):
+            ln = min(kc, k - l0)
+            for i0 in range(0, m, mc):
+                im = min(mc, m - i0)
+                im_pad, jn_pad, ln_pad = (_round_up(im, mu),
+                                          _round_up(jn, nu),
+                                          _round_up(ln, ku))
+                scratch = np.zeros(im_pad * jn_pad)
+                kernel(im_pad, jn_pad, ln_pad,
+                       pack_a(a[i0:i0 + im, l0:l0 + ln], im_pad, ln_pad,
+                              alpha=alpha),
+                       pack_b(b[l0:l0 + ln, j0:j0 + jn], ln_pad, jn_pad),
+                       scratch, im_pad)
+                out[j0:j0 + jn, i0:i0 + im] += \
+                    scratch.reshape(jn_pad, im_pad)[:jn, :im]
+    return out
+
+
+def _residue_extents(mult):
+    """Extents whose remainder mod ``mult`` is 0, 1 and mult - 1: three
+    whole groups plus the remainder, and the remainder alone (no whole
+    group at all)."""
+    return sorted({3 * mult, 3 * mult + 1, 4 * mult - 1, 1, mult - 1} - {0})
+
+
+@pytest.mark.parametrize("layout", ["dup", "shuf"])
+def test_edge_rectangles_are_bit_equal_to_the_whole_tile_rule(
+        layout, blas, shuf_blas, rng):
+    # 2mu x 2nu tiles, so a result three groups wide has a whole tile
+    # beside a ragged one; k at and beyond Kc
+    native = (blas if layout == "dup" else shuf_blas).gemm_driver
+    assert native._kernel_address
+    mults = native.mu, native.nu, native.ku
+    mu, nu, ku = mults
+    blocks = BlockSizes(mc=2 * mu, kc=16, nc=2 * nu)
+    driver = GemmDriver(native.kernel, layout=layout, blocks=blocks)
+    kc = _round_up(16, ku)
+    # the kernel's rows are the result's columns, and its columns the
+    # result's rows
+    for m in _residue_extents(nu):
+        for n in _residue_extents(mu):
+            for k in (kc - 1, kc, 2 * kc + 3):
+                a, b, c = _signed_zero_problem(m, n, k, rng) \
+                    if min(m, n) > 1 else (rng.standard_normal((m, k)),
+                                           rng.standard_normal((k, n)),
+                                           rng.standard_normal((m, n)))
+                for alpha, beta in ((1.0, 0.0), (-0.5, 1.5)):
+                    want = _whole_tile_rule(native.kernel, layout, mults,
+                                            blocks, a, b, c, alpha, beta)
+                    for threads in (1, 2):
+                        got = driver(a, b, c, alpha=alpha, beta=beta,
+                                     threads=threads)
+                        assert got.tobytes() == want.tobytes(), \
+                            (layout, m, n, k, alpha, beta, threads)
+    assert driver.pack_pool.outstanding == 0
+
+
+CANARY = -1.25e300
+
+
+def _canaried(driver):
+    """Run each ``augem_gemm`` call of ``driver`` on a NaN-filled
+    workspace of exactly ``workspace_size`` elements followed by a
+    canary, and check the canary after the call; returns the sizes."""
+    real, sizes = driver._gemm, []
+
+    def guarded(kernel, a, b, out, ws, params, alpha):
+        m, n, k, mc, nc, kc, mu, nu, ku = gebp.PARAMS.unpack(params)[:9]
+        size = gebp.workspace_size(k, mc, nc, kc, ku)
+        buf = np.full(size + 64, np.nan)
+        buf[size:] = CANARY
+        real(kernel, a, b, out, buf.ctypes.data, params, alpha)
+        assert (buf[size:] == CANARY).all(), \
+            ("workspace overrun", m, n, k, mc, nc, kc, mu, nu, ku)
+        sizes.append(size)
+
+    driver._gemm = guarded
+    return sizes
+
+
+@pytest.mark.parametrize("layout", ["dup", "shuf"])
+@pytest.mark.parametrize("mults", [(6, 6, 2), (12, 4, 2), (4, 2, 1),
+                                   (24, 8, 2)])
+def test_ragged_calls_stay_inside_the_workspace(mults, layout, rng):
+    # trampoline kernels with odd multiples, small and default blocks,
+    # ragged in every dimension, k below and beyond Kc; the NaN fill also
+    # shows any padding the packers failed to zero
+    mu, nu, ku = mults
+    shapes = [(13, 11, 21), (1, 1, 1), (37, 29, 41), (5, 50, 19)]
+    for blocks in (BlockSizes(mc=2 * mu, kc=8, nc=2 * nu), BlockSizes()):
+        for threads in (1, 2):
+            kernel = _TallyKernel(layout, mults)
+            driver = GemmDriver(kernel, layout=layout, blocks=blocks,
+                                threads=threads)
+            sizes = _canaried(driver)
+            for m, n, k in shapes:
+                a, b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
+                got = driver(a, b, alpha=0.5)
+                assert _within_bound(got, 0.5 * (a @ b), k), (m, n, k)
+            assert len(sizes) >= len(shapes) and kernel.tally
+            assert driver.pack_pool.outstanding == 0

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from repro.blas.packing import (
     pack_a,
+    pack_a_block,
     pack_b_dup,
+    pack_b_panel,
     pack_b_shuf,
     unpack_a,
     unpack_b_dup,
@@ -38,6 +40,30 @@ def test_pack_b_shuf_layout():
     for l in range(3):
         for j in range(2):
             assert packed[l * 2 + j] == block[l, j]
+
+
+def test_split_panels_put_the_ragged_part_after_the_whole_groups():
+    # 7 rows/columns at a step of 3: two whole groups (6), then one ragged
+    # element padded to 3, as its own panel starting at 6 * kc
+    kc, step = 4, 3
+    a_block = np.arange(1.0, 29.0).reshape(7, 4)  # 7 rows x k 4
+    b_block = np.arange(1.0, 29.0).reshape(4, 7)  # k 4 x 7 columns
+    a = pack_a_block(a_block, kc, step, alpha=0.5)
+    assert np.array_equal(a[:6 * kc], pack_a(a_block[:6], 6, kc, alpha=0.5))
+    assert np.array_equal(a[6 * kc:], pack_a(a_block[6:], step, kc,
+                                             alpha=0.5))
+    shuf = pack_b_panel(b_block, kc, step, "shuf")
+    assert np.array_equal(shuf[:6 * kc], pack_b_shuf(b_block[:, :6], kc, 6))
+    assert np.array_equal(shuf[6 * kc:], pack_b_shuf(b_block[:, 6:], kc,
+                                                     step))
+    # the dup layout needs no move: its partial group already starts there
+    assert np.array_equal(pack_b_panel(b_block, kc, step, "dup"),
+                          pack_b_dup(b_block, kc, 9))
+    # whole multiples and blocks under one step are a single panel
+    assert np.array_equal(pack_a_block(a_block[:6], kc, step),
+                          pack_a(a_block[:6], 6, kc))
+    assert np.array_equal(pack_b_panel(b_block[:, :2], kc, step, "shuf"),
+                          pack_b_shuf(b_block[:, :2], kc, step))
 
 
 def test_zero_padding():

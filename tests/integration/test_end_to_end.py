@@ -133,10 +133,18 @@ def test_all_kernels_native(native_arch, rng):
 
 @needs_cc
 def test_emulator_matches_native_exactly(native_arch, rng):
+    import math
+
+    from repro.blas.gemm import kernel_multiples
+
     gk = Augem(arch=native_arch).generate_named(
         "gemm", name=f"xval_{native_arch.name}")
     kernel = load_kernel("gemm", gk)
-    mc, nc, kc, ldc = 24, 4, 16, 24
+    # the kernel has no remainder loops: a trip count short of its
+    # multiple makes it write C (and read A and B) past the buffers
+    mu, nu, ku = kernel_multiples(gk)
+    mc, nc, kc = math.lcm(mu, 24), math.lcm(nu, 4), math.lcm(ku, 16)
+    ldc = mc
     a = rng.standard_normal(kc * mc)
     b = rng.standard_normal(nc * kc)
     c_native = np.zeros(ldc * nc)
