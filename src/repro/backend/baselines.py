@@ -22,7 +22,7 @@ leak into the Level-3 measurements.
 from __future__ import annotations
 
 import ctypes
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -222,8 +222,13 @@ class BaselineLibrary:
 
     # -- triangular diagonal block ----------------------------------------
     def trsm_diag(self, l_block: np.ndarray, b_rows: np.ndarray,
-                  ldb: int) -> None:
+                  ldb: Optional[int] = None) -> None:
+        """``b_rows = L⁻¹ b_rows`` in place (rows ``ldb`` elements apart,
+        by default ``b_rows``' own row stride)."""
+        l_block = np.ascontiguousarray(l_block, dtype=np.float64)
         nb = l_block.shape[0]
+        if ldb is None:
+            ldb = b_rows.strides[0] // b_rows.itemsize
         ncols = b_rows.shape[1] if b_rows.ndim == 2 else ldb
         fn = self._sig("trsm_lower_diag", None,
                        [ctypes.c_long, ctypes.c_long, _DP, _DP, ctypes.c_long])

@@ -128,7 +128,8 @@ def make_atlas_proxy_library() -> Library:
     """Blocked C + gcc -O3 -march=native — the ATLAS-methodology proxy."""
     lib = baseline_native()
     gemm = _CGemmAdapter(lib)
-    level3 = Level3(gemm)
+    # the paper's straightforward C substitution, compiled -O2
+    level3 = Level3(gemm, baseline_o2())
 
     def daxpy(alpha, x, y):
         lib.daxpy(alpha, x, y)

@@ -41,7 +41,7 @@ from .dispatch import DispatchChain, RoutineDispatch
 from .gemm import BlockSizes
 from .guard import ArgGuard
 from .integrity import IntegrityChecker, wrap_driver
-from .level3 import Level3
+from .level3 import Level3, trsm_leaf
 from .reference import ref_gemm, ref_gemv, ref_syr2k, ref_syrk
 from .routines import FAMILIES, ROUTINES, Routine
 
@@ -127,7 +127,7 @@ class AugemBLAS:
             return
         self._drivers.pop(row.name, None)
         self._dispatch.pop(row.name, None)
-        if row.name == "gemm":
+        if row.name in ("gemm", "gemv"):  # Level3 holds both kernels
             self._level3 = None
 
     def _note_serve(self, routine: str) -> None:
@@ -141,8 +141,13 @@ class AugemBLAS:
 
     @property
     def level3(self) -> Level3:
+        """The Level-3 casts on this facade's ``gemm`` driver, TRSM's
+        diagonal solve on its own admitted ``gemv`` routine — always the
+        in-process one (a :class:`~repro.blas.client.ServedBLAS` serves
+        only the GEMM calls remotely)."""
         if self._level3 is None:
-            self._level3 = Level3(self.driver("gemm"))
+            self._level3 = Level3(self.driver("gemm"),
+                                  trsm_leaf(AugemBLAS.driver(self, "gemv")))
         return self._level3
 
     # -- BLAS entry points -----------------------------------------------

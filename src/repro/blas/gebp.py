@@ -61,6 +61,10 @@ The loop calls back into nothing but the kernel: fault injection and
 ABFT verification run in Python on the finished tiles after the call
 returns (:mod:`repro.blas.gemm`).
 
+The same source holds ``augem_trsm_leaf``, TRSM's diagonal solve on
+the generated column-sweep ``gemv`` kernel (:mod:`repro.blas.level3`),
+so a Level-3 process compiles no second library.
+
 The source is built once per process with plain ``-O2`` — no
 ``-march``, no fast-math, so every multiply and add is the same IEEE
 operation the numpy packers perform.  :func:`start_build` begins the
@@ -257,6 +261,48 @@ void augem_gemm(gebp_kernel kernel, const double *a, const double *b,
         t = end;
     }
 }
+
+typedef void (*gemv_kernel)(long, long, double *, long, double *, double *);
+
+/* rows of B one augem_trsm_leaf kernel call sweeps: their negated L
+   entries sit in a stack buffer, so the leaf shares no scratch */
+#define LEAF_SWEEP 64
+
+/* B = L^-1 B by forward substitution, in place.  L is the nb x nb lower
+   triangle l[r*ls0 + c*ls1]; B is the nb x ncols block b[r*ldb + c].
+   Row i gains B[:i]^T (-L[i,:i]) -- the column-sweep gemv kernel
+   (Y[j] += A[i*LDA+j]*X[i]) on its first ncols - ncols % unroll columns,
+   plain C on the rest -- and is then multiplied by 1/L[i,i].  There is
+   no singularity check: a zero on the diagonal gives IEEE Inf/NaN, as
+   in BLAS. */
+void augem_trsm_leaf(gemv_kernel kernel, long unroll, long nb, long ncols,
+                     const double *l, long ls0, long ls1, double *b,
+                     long ldb)
+{
+    long jw = ncols - ncols % unroll;
+    double x[LEAF_SWEEP];
+
+    for (long i = 0; i < nb; i++) {
+        double *row = b + i * ldb;
+        for (long s0 = 0; s0 < i; s0 += LEAF_SWEEP) {
+            long sn = min_long(LEAF_SWEEP, i - s0);
+            double *src = b + s0 * ldb;
+            for (long s = 0; s < sn; s++)
+                x[s] = -l[i * ls0 + (s0 + s) * ls1];
+            if (jw)
+                kernel(jw, sn, src, ldb, x, row);
+            for (long j = jw; j < ncols; j++) {
+                double y = row[j];
+                for (long s = 0; s < sn; s++)
+                    y += src[s * ldb + j] * x[s];
+                row[j] = y;
+            }
+        }
+        double d = 1.0 / l[i * ls0 + i * ls1];
+        for (long j = 0; j < ncols; j++)
+            row[j] *= d;
+    }
+}
 """
 
 #: ``void kernel(long, long, long, double*, double*, double*, long)``
@@ -308,22 +354,26 @@ def workspace_size(k: int, mc: int, nc: int, kc: int, ku: int) -> int:
 
 
 class _Build(threading.Thread):
-    """The one background build of ``augem_gemm``."""
+    """The one background build of ``augem_gemm`` and ``augem_trsm_leaf``."""
 
     def __init__(self) -> None:
         super().__init__(name="gebp-build", daemon=True)
-        self.fn = None
+        self.gemm = None
+        self.trsm_leaf = None
         self.error: Optional[BaseException] = None
 
     def run(self) -> None:
         try:
-            fn = build_shared({"gebp.c": GEBP_C},
-                              tag="gebp").symbol("augem_gemm")
-            p = ctypes.c_void_p
+            so = build_shared({"gebp.c": GEBP_C}, tag="gebp")
+            p, n = ctypes.c_void_p, ctypes.c_long
+            fn = so.symbol("augem_gemm")
             fn.restype = None
             fn.argtypes = [p, p, p, p, p, ctypes.c_char_p, ctypes.c_double]
-            self.fn = fn
-        except BaseException as exc:  # noqa: BLE001 - raised by gebp_function
+            leaf = so.symbol("augem_trsm_leaf")
+            leaf.restype = None
+            leaf.argtypes = [p, n, n, n, p, n, n, p, n]
+            self.gemm, self.trsm_leaf = fn, leaf
+        except BaseException as exc:  # noqa: BLE001 - raised by _finished
             self.error = exc
 
 
@@ -341,8 +391,8 @@ def start_build() -> _Build:
         return _BUILD
 
 
-def gebp_function():
-    """The loaded ``augem_gemm`` (waits for the build).
+def _finished() -> _Build:
+    """The build, waited for.
 
     A failed build raises its :class:`~repro.backend.compiler.ToolchainError`
     here and is forgotten, so the next driver build tries again.
@@ -351,8 +401,18 @@ def gebp_function():
     build = start_build()
     build.join()
     if build.error is None:
-        return build.fn
+        return build
     with _LOCK:
         if _BUILD is build:
             _BUILD = None
     raise build.error
+
+
+def gebp_function():
+    """The loaded ``augem_gemm`` (waits for the build)."""
+    return _finished().gemm
+
+
+def trsm_leaf_function():
+    """The loaded ``augem_trsm_leaf`` (waits for the build)."""
+    return _finished().trsm_leaf

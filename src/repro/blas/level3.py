@@ -14,12 +14,16 @@ strided views of the operands (the packers take them as they are).
   triangle into one panel-sized buffer.
 - TRMM multiplies each row panel's trapezoid of L through GEMM, the
   diagonal block as a zero-filled copy.
-- TRSM accumulates ``B_i -= L[i, :i] @ X[:i]`` through GEMM; the
-  diagonal solve is naive compiled C
-  (:mod:`repro.backend.baselines`), which reproduces the paper's finding
-  that the substitution step "is translated into low-level C code in a
-  straightforward fashion (without special optimizations)" and therefore
-  trails the vendor library.
+- TRSM accumulates ``B_i -= L[i, :i] @ X[:i]`` through GEMM and solves
+  each diagonal block on a *leaf*.  Forward substitution on a row-major
+  block is, row by row, ``B[i] += B[:i]ᵀ (−L[i, :i])`` — the generated
+  column-sweep ``gemv`` kernel (paper Fig. 15) — so the facade's leaf
+  is :class:`GemvLeaf`, which runs that kernel from C
+  (``augem_trsm_leaf``, :mod:`repro.blas.gebp`).  The paper left this
+  step "translated into low-level C code in a straightforward fashion
+  (without special optimizations)" and blamed its TRSM loss on it; the
+  benchmark harness's ATLAS proxy still passes that naive C
+  (:func:`repro.backend.baselines.baseline_o2`).
 
 Conventions: all matrices are row-major float64; SY* routines use the
 lower triangle ('L'), TR* routines take a lower-triangular, non-unit L on
@@ -28,23 +32,71 @@ the left (``side='L'``) — the variants the paper's Table 6 exercises.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+import ctypes
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
-from ..backend.baselines import baseline_o2
 from ..backend.compiler import ToolchainError
+from ..backend.runner import NativeKernel
+from .gebp import trsm_leaf_function
 from .gemm import BlockSizes, GemmDriver
 
 
-class _NumpyTri:
-    """Pure-numpy triangular solve of a diagonal block — used when the
-    compiled-C baseline is unavailable (no toolchain, or the dispatch
-    chain is serving from the reference tier)."""
+class NumpyLeaf:
+    """The diagonal solve in numpy: the same forward substitution as
+    :class:`GemvLeaf`, for a facade whose ``gemv`` routine has no native
+    kernel (reference tier, no toolchain).  Like every leaf it
+    multiplies by ``1/L[i, i]`` with no singularity check, so a zero on
+    the diagonal gives IEEE Inf/NaN, as in BLAS."""
 
-    def trsm_diag(self, l_block: np.ndarray, b_rows: np.ndarray,
-                  ldb: int) -> None:
-        b_rows[:] = np.linalg.solve(np.tril(l_block), b_rows)
+    def trsm_diag(self, l_block: np.ndarray, b_rows: np.ndarray) -> None:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for i in range(b_rows.shape[0]):
+                b_rows[i] += -l_block[i, :i] @ b_rows[:i]
+                b_rows[i] *= 1.0 / l_block[i, i]
+
+
+class GemvLeaf:
+    """The diagonal solve on a generated column-sweep ``gemv`` kernel.
+
+    ``augem_trsm_leaf`` runs the kernel through a function pointer on
+    each row's first ``ncols - ncols % unroll`` columns and finishes the
+    rest, and the ``1/L[i, i]`` scaling, in plain C.  It keeps no
+    shared scratch, so one leaf serves any number of threads.
+    """
+
+    def __init__(self, kernel: NativeKernel, unroll: int) -> None:
+        self.kernel = kernel  # keeps the loaded code alive
+        self.unroll = unroll
+        self._address = ctypes.cast(kernel.fn, ctypes.c_void_p).value
+        self._leaf = trsm_leaf_function()
+
+    def trsm_diag(self, l_block: np.ndarray, b_rows: np.ndarray) -> None:
+        """``b_rows = L⁻¹ b_rows`` in place; ``L`` is read through its
+        strides, ``b_rows`` needs unit column stride."""
+        if b_rows.dtype != np.float64 or b_rows.strides[1] != 8:
+            raise ValueError("B rows must be float64 with unit column "
+                             "stride")
+        l_block = np.asarray(l_block, dtype=np.float64)
+        nb, ncols = b_rows.shape
+        self._leaf(self._address, self.unroll, nb, ncols,
+                   l_block.ctypes.data, l_block.strides[0] // 8,
+                   l_block.strides[1] // 8, b_rows.ctypes.data,
+                   b_rows.strides[0] // 8)
+
+
+def trsm_leaf(gemv) -> Union[GemvLeaf, NumpyLeaf]:
+    """The diagonal solve of a facade whose ``gemv`` routine is
+    ``gemv``: a :class:`GemvLeaf` on its column-sweep kernel when that
+    kernel is native code, else a :class:`NumpyLeaf`."""
+    kernel = getattr(gemv, "kernel_t", None)
+    if isinstance(kernel, NativeKernel):
+        try:
+            return GemvLeaf(kernel, gemv.unroll_t)
+        except ToolchainError:
+            pass
+    return NumpyLeaf()
 
 
 class Level3:
@@ -60,12 +112,10 @@ class Level3:
     #: width stays
     panel = BlockSizes().mc
 
-    def __init__(self, gemm: GemmDriver) -> None:
+    def __init__(self, gemm: GemmDriver, leaf=None) -> None:
         self.gemm = gemm
-        try:
-            self._tri = baseline_o2()
-        except ToolchainError:
-            self._tri = _NumpyTri()
+        #: TRSM's diagonal solve: ``leaf.trsm_diag(l_block, b_rows)``
+        self.leaf = leaf if leaf is not None else NumpyLeaf()
 
     def _panels(self, n: int, width: Optional[int] = None
                 ) -> Iterator[Tuple[int, int]]:
@@ -161,22 +211,21 @@ class Level3:
     def trsm(self, l: np.ndarray, b: np.ndarray,
              alpha: float = 1.0) -> np.ndarray:
         """``B = alpha * L⁻¹ @ B`` — the paper's two-step decomposition:
-        1) ``B_1 = L11⁻¹ B_1`` (straightforward substitution, not
-        template-optimized — hence TRSM's deficit in Table 6);
+        1) ``B_1 = L11⁻¹ B_1`` (the leaf: the generated ``gemv`` kernel
+        on the facade's, naive C on the ATLAS proxy's);
         2) ``B_2 = B_2 - L21 @ B_1`` (GEMM).
         """
         l = np.asarray(l, dtype=np.float64)
         x = np.array(b, dtype=np.float64, order="C")
         if alpha != 1.0:
             x *= alpha
-        # half panels: the naive-C solve costs O(m * width * ncols) at a
-        # fraction of GEMM's rate
+        # half panels: a leaf runs at a fraction of GEMM's rate, and its
+        # work grows with the panel width
         for i0, i1 in self._panels(x.shape[0], max(1, self.panel // 2)):
-            rows = x[i0:i1]  # contiguous: the C solve works in place
+            rows = x[i0:i1]  # contiguous: the leaf works in place
             if i0 > 0:
                 # B_i -= L[i, :i] @ X[:i]
                 rows[:] = self.gemm(l[i0:i1, :i0], x[:i0], rows,
                                     alpha=-1.0, beta=1.0)
-            self._tri.trsm_diag(np.ascontiguousarray(l[i0:i1, i0:i1]), rows,
-                                x.shape[1])
+            self.leaf.trsm_diag(l[i0:i1, i0:i1], rows)
         return x

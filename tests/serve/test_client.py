@@ -21,8 +21,11 @@ import pytest
 from repro.backend.faults import FaultPlan, clear_fault_plan, install_fault_plan
 from repro.blas.api import AugemBLAS
 from repro.blas.client import CircuitBreaker, ServedBLAS
+from repro.blas.level3 import GemvLeaf
 from repro.blas.reference import (ref_gemm, ref_gemv, ref_syr2k, ref_syrk)
 from repro.serve.server import ServeConfig, ServeWorker
+
+from tests.conftest import needs_cc
 
 
 def _start_worker(config):
@@ -35,9 +38,12 @@ def _start_worker(config):
     return worker, thread
 
 
-@pytest.fixture
-def live_service(monkeypatch):
-    monkeypatch.setenv("REPRO_FORCE_ARCH", "reference")
+def _service(monkeypatch, force_arch):
+    """An in-thread worker on the ``force_arch`` tier (None: the host's)."""
+    if force_arch is None:
+        monkeypatch.delenv("REPRO_FORCE_ARCH", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_FORCE_ARCH", force_arch)
     clear_fault_plan()
     runtime = Path(tempfile.mkdtemp(prefix="rsv", dir="/tmp"))
     config = ServeConfig(runtime_dir=runtime, warmup=(),
@@ -49,6 +55,16 @@ def live_service(monkeypatch):
     worker.drain(timeout=5)
     thread.join(timeout=10)
     shutil.rmtree(runtime, ignore_errors=True)
+
+
+@pytest.fixture
+def live_service(monkeypatch):
+    yield from _service(monkeypatch, "reference")
+
+
+@pytest.fixture
+def host_service(monkeypatch):
+    yield from _service(monkeypatch, None)
 
 
 def _client(config_or_dir, **kwargs) -> ServedBLAS:
@@ -123,6 +139,21 @@ class TestRemoteServing:
         assert blas.stats.requests - before <= 4 * panels
         assert np.array_equal(got, local.dsyr2k(a, b))
         assert blas.stats.fallbacks == 0
+
+    @needs_cc
+    def test_served_dtrsm_is_bit_equal_to_in_process(self, host_service):
+        # remote GEMM updates, the local generated-gemv leaf
+        _worker, config = host_service
+        blas, local = _client(config, hardened=True), AugemBLAS()
+        rng = np.random.default_rng(11)
+        n = 130
+        low = np.tril(rng.standard_normal((n, n)), -1) * 0.05
+        low[np.diag_indices(n)] = 1.5 + rng.random(n)
+        b = rng.standard_normal((n, 37))
+        got = blas.dtrsm(low, b)
+        assert np.array_equal(got, local.dtrsm(low, b))
+        assert isinstance(blas.level3.leaf, GemvLeaf)
+        assert blas.stats.fallbacks == 0 and blas.stats.remote_ok >= 2
 
     def test_dger_is_one_remote_request(self, live_service):
         from repro.blas.api import AugemBLAS
