@@ -140,6 +140,72 @@ def test_cache_stats_reports_budget_and_disk_health(capsys, tmp_path,
         fsio.reset_disk_health()
 
 
+def test_cache_stats_cumulative_line(capsys, tmp_path, monkeypatch):
+    """The whole ``cumulative:`` line for a scripted store: one process's
+    counters flushed to stats.json plus the live process's."""
+    from repro.backend.cache import get_cache, reset_cache
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+    reset_cache()
+    try:
+        cache = get_cache()
+        cache.store_tuning("a" * 24, {"gflops": 1.0})
+        cache._record_path("tuning", "a" * 24).write_text("{rotted")
+        assert cache.load_tuning("a" * 24) is None
+        cache.store_tuning("b" * 24, {"gflops": 2.0})
+        reset_cache()  # flushes these counters into stats.json
+        cache = get_cache()
+        assert cache.load_tuning("b" * 24)["gflops"] == 2.0
+        cache.store_quarantine("c" * 24, {"error": "SIGILL"})
+        assert cache.load_quarantine("c" * 24)["error"] == "SIGILL"
+        assert main(["cache", "stats"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("cumulative:")] \
+            == ["cumulative:       hits=0 (mem=0 disk=0) misses=0 "
+                "evictions=1 errors=1 puts=0 tuning hits=1 puts=2 "
+                "quarantine hits=1 puts=1 io errors=0 gc evictions=0 "
+                "lock timeouts=0 toolchain calls=0 retries=0 "
+                "build time=0.00s"]
+    finally:
+        reset_cache()
+
+
+def test_integrity_show_counter_lines(capsys, rng):
+    """``integrity show`` prints every counter, in ``FIELDS`` order, with
+    the values of one checked call that healed on its retry."""
+    from repro.blas.integrity import (IntegrityChecker, IntegrityStats,
+                                      reset_integrity_state, wrap_driver)
+
+    calls = []
+
+    def gemv_wrong_once(a, x, y=None, alpha=1.0, beta=0.0, trans=False):
+        calls.append(1)
+        return alpha * (a @ x) + (1000.0 if len(calls) == 1 else 0.0)
+
+    names = ["checks", "mismatches", "retries", "reference_recomputes",
+             "quarantines", "overhead_ns"]
+    assert list(IntegrityStats.FIELDS) == names
+    reset_integrity_state()
+    try:
+        driver = wrap_driver("gemv", gemv_wrong_once,
+                             IntegrityChecker(mode="full"))
+        a, x = rng.standard_normal((9, 5)), rng.standard_normal(5)
+        assert np.allclose(driver(a, x), a @ x)
+        assert main(["integrity", "show"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        counters = [line for line in out if line.split(":")[0] in names]
+        assert counters[:5] == ["checks:               1",
+                                "mismatches:           1",
+                                "retries:              1",
+                                "reference_recomputes: 0",
+                                "quarantines:          0"]
+        assert counters[5].startswith("overhead_ns:          ")
+        assert int(counters[5].split()[1]) > 0
+        assert len(counters) == 6
+    finally:
+        reset_integrity_state()
+
+
 def test_cache_scrub_and_gc_on_disabled_store(capsys, monkeypatch):
     from repro.backend.cache import reset_cache
 
