@@ -15,10 +15,10 @@ Design points:
   can never leave a half-written entry visible.
 - **self-healing**: a corrupted or truncated entry fails closed — it is
   evicted and the caller rebuilds from source.
-- **instrumented**: a :class:`CacheStats` counter object records hits,
-  misses, evictions, and toolchain time; cumulative totals are merged
-  into ``stats.json`` at interpreter exit and surfaced through
-  ``python -m repro cache stats``.
+- **instrumented**: a :class:`CacheStats` tally records hits, misses,
+  evictions, and toolchain time, each bump also feeding its trace
+  counter; cumulative totals are merged into ``stats.json`` at
+  interpreter exit and surfaced through ``python -m repro cache stats``.
 
 Setting ``REPRO_CACHE_DIR`` to ``off`` / ``none`` / ``0`` / ``disabled``
 turns the disk layer off entirely (hermetic test mode): all lookups miss,
@@ -34,11 +34,10 @@ import os
 import shutil
 import tempfile
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..obs import event, incr
+from ..obs import Counters, event
 from . import fsio
 from .locks import NULL_LOCK, LockTimeout, cache_lock
 
@@ -83,35 +82,34 @@ def cache_max_bytes() -> Optional[int]:
     return parse_bytes(os.environ.get("REPRO_CACHE_MAX_BYTES", ""))
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss/evict counters plus toolchain-time accounting (seconds)."""
+class CacheStats(Counters):
+    """Hit/miss/evict counters plus toolchain-time accounting (seconds).
 
-    mem_hits: int = 0        # served from the in-process dict
-    disk_hits: int = 0       # served from the persistent store
-    misses: int = 0          # nothing cached; toolchain invoked
-    evictions: int = 0       # corrupt/cleared entries removed
-    errors: int = 0          # load failures (each also evicts)
-    puts: int = 0            # entries published to disk
-    tuning_hits: int = 0     # persisted tuning measurements reused
-    tuning_puts: int = 0     # tuning measurements persisted
-    quarantine_hits: int = 0  # known-crashing candidates skipped
-    quarantine_puts: int = 0  # candidates newly quarantined
-    io_errors: int = 0       # OSErrors absorbed by store maintenance
-    gc_evictions: int = 0    # healthy entries evicted by the quota GC
-    lock_timeouts: int = 0   # cache-lock waits that gave up (wrote unlocked)
-    toolchain_invocations: int = 0
-    toolchain_retries: int = 0  # transient-failure retry attempts
-    build_seconds: float = 0.0  # wall time spent inside the toolchain
+    The fields are the keys of ``stats.json``.
+    """
+
+    TRACE = {
+        "mem_hits": "cache.mem_hit",    # served from the in-process dict
+        "disk_hits": "cache.disk_hit",  # served from the persistent store
+        "misses": "cache.miss",         # nothing cached; toolchain invoked
+        "evictions": "cache.eviction",  # corrupt/cleared entries removed
+        "errors": None,                 # load failures (each also evicts)
+        "puts": "cache.put",            # entries published to disk
+        "tuning_hits": "cache.tuning_hit",  # tuning measurements reused
+        "tuning_puts": "cache.tuning_put",  # tuning measurements persisted
+        "quarantine_hits": "cache.quarantine_hit",  # crashers skipped
+        "quarantine_puts": "cache.quarantine_put",  # newly quarantined
+        "io_errors": "cache.io_error",  # OSErrors absorbed by maintenance
+        "gc_evictions": "cache.gc_eviction",  # evicted by the quota GC
+        "lock_timeouts": "cache.lock_timeout",  # gave up, wrote unlocked
+        "toolchain_invocations": "toolchain.invocations",
+        "toolchain_retries": "toolchain.retries",  # transient failures
+        "build_seconds": "toolchain.build_seconds",  # toolchain wall time
+    }
 
     @property
     def hits(self) -> int:
         return self.mem_hits + self.disk_hits
-
-    def merge(self, other: Dict[str, Any]) -> None:
-        for key, value in other.items():
-            if hasattr(self, key) and isinstance(value, (int, float)):
-                setattr(self, key, getattr(self, key) + value)
 
     def describe(self) -> str:
         return (
@@ -235,8 +233,7 @@ class KernelCache:
 
     def _io_error(self, exc: OSError, where: str) -> None:
         """Count an absorbed maintenance OSError instead of hiding it."""
-        self.stats.io_errors += 1
-        incr("cache.io_error")
+        self.stats.incr("io_errors")
         fsio.note_disk_error(exc, where)
 
     def _rmtree(self, path: Path, where: str) -> None:
@@ -278,8 +275,7 @@ class KernelCache:
         try:
             lock.acquire()
         except LockTimeout:
-            self.stats.lock_timeouts += 1
-            incr("cache.lock_timeout")
+            self.stats.incr("lock_timeouts")
             lock = NULL_LOCK
         except OSError as exc:
             # the lock *file* could not be created (disk full, store
@@ -309,7 +305,7 @@ class KernelCache:
         except FileNotFoundError:
             return None
         except fsio.RecordError:
-            self.stats.errors += 1
+            self.stats.incr("errors")
             self.evict(key)
             return None
         try:
@@ -352,7 +348,7 @@ class KernelCache:
             # store unusable (permissions, bad $REPRO_CACHE_DIR, disk
             # full): the build in ``workdir`` is still valid, just never
             # becomes shared — degrade instead of failing the build
-            self.stats.errors += 1
+            self.stats.incr("errors")
             fsio.note_disk_error(exc, "cache.publish")
             return None
         try:
@@ -367,8 +363,7 @@ class KernelCache:
             fsio.note_disk_error(exc, "cache.publish")
             shutil.rmtree(workdir, ignore_errors=True)
             return self.lookup_so(key)
-        self.stats.puts += 1
-        incr("cache.put")
+        self.stats.incr("puts")
         self.maybe_gc()
         return entry / so_name
 
@@ -378,8 +373,7 @@ class KernelCache:
         entry = self._entry_dir(key)
         if entry.exists():
             self._rmtree(entry, "cache.evict")
-            self.stats.evictions += 1
-            incr("cache.eviction")
+            self.stats.incr("evictions")
 
     # -- JSON records: tuning measurements and candidate quarantine --------
     #
@@ -410,16 +404,14 @@ class KernelCache:
         except FileNotFoundError:
             return None
         except fsio.RecordError:
-            self.stats.errors += 1
+            self.stats.incr("errors")
             try:
                 path.unlink()
-                self.stats.evictions += 1
+                self.stats.incr("evictions")
             except OSError as exc:
                 self._io_error(exc, f"cache.{kind}.evict")
             return None
-        setattr(self.stats, f"{kind}_hits",
-                getattr(self.stats, f"{kind}_hits") + 1)
-        incr(f"cache.{kind}_hit")
+        self.stats.incr(f"{kind}_hits")
         return record
 
     def _store_record(self, kind: str, key: str,
@@ -430,11 +422,9 @@ class KernelCache:
             written = fsio.write_record(self._record_path(kind, key),
                                         record, tag=f"cache.{kind}")
         if not written:
-            self.stats.errors += 1
+            self.stats.incr("errors")
             return
-        setattr(self.stats, f"{kind}_puts",
-                getattr(self.stats, f"{kind}_puts") + 1)
-        incr(f"cache.{kind}_put")
+        self.stats.incr(f"{kind}_puts")
 
     # -- maintenance -------------------------------------------------------
 
@@ -455,7 +445,7 @@ class KernelCache:
             pass
         except OSError as exc:
             self._io_error(exc, "cache.clear")
-        self.stats.evictions += removed
+        self.stats.incr("evictions", removed)
         return removed
 
     def gc(self, max_bytes: Optional[int] = None) -> Dict[str, Any]:
@@ -491,8 +481,7 @@ class KernelCache:
                 if total <= budget:
                     break
                 self.evict(key)
-                self.stats.gc_evictions += 1
-                incr("cache.gc_eviction")
+                self.stats.incr("gc_evictions")
                 total -= size
                 report["evicted"] += 1
         report["after_bytes"] = total
@@ -540,7 +529,7 @@ class KernelCache:
         total = CacheStats()
         if self.enabled:
             total.merge(self._read_stats())
-        total.merge(asdict(self.stats))
+        total.merge(self.stats.snapshot())
         return total
 
     def _read_stats(self) -> Dict[str, Any]:
@@ -555,23 +544,19 @@ class KernelCache:
         """Merge this process's counters into ``stats.json`` (idempotent)."""
         if not self.enabled or self._flushed:
             return
-        live = asdict(self.stats)
-        if not any(live.values()):
+        if not any(self.stats.snapshot().values()):
             return
         self._flushed = True
         # read-merge-write must be serialized across processes, or a
         # concurrent tuner's counters are silently dropped
         with self._locked("stats"):
-            merged = CacheStats()
-            merged.merge(self._read_stats())
-            merged.merge(live)
             written = fsio.write_record(self.root / "stats.json",
-                                        asdict(merged), tag="cache.stats")
+                                        self.cumulative_stats().snapshot(),
+                                        tag="cache.stats")
         if not written:
             # stats are best-effort; never fail the build over them —
             # but a failed flush is still counted and surfaced
-            self.stats.io_errors += 1
-            incr("cache.io_error")
+            self.stats.incr("io_errors")
 
 
 _CACHE: Optional[KernelCache] = None

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from ..obs import incr, span
+from ..obs import span
 from .cache import get_cache
 from .faults import take_fault
 
@@ -130,12 +130,6 @@ def _tool_limits() -> tuple:
     return max(timeout, 1.0), max(attempts, 1)
 
 
-def _account_build(stats, seconds: float) -> None:
-    """Attribute toolchain wall time to the cache stats and the trace."""
-    stats.build_seconds += seconds
-    incr("toolchain.build_seconds", seconds)
-
-
 def _run(cmd: Sequence[str], tag: str = "") -> None:
     """Run one toolchain command with timeout and bounded retry.
 
@@ -150,8 +144,7 @@ def _run(cmd: Sequence[str], tag: str = "") -> None:
     last = "unknown transient failure"
     for attempt in range(attempts):
         if attempt:
-            stats.toolchain_retries += 1
-            incr("toolchain.retries")
+            stats.incr("toolchain_retries")
             # jitter the exponential backoff so N tuners that hit the same
             # transient failure (an OOM-killed assembler, a busy NFS
             # server) do not retry in lockstep and re-collide
@@ -160,21 +153,19 @@ def _run(cmd: Sequence[str], tag: str = "") -> None:
         if take_fault("toolchain", tag=tag):
             last = f"injected toolchain fault (tag {tag!r})"
             continue
-        stats.toolchain_invocations += 1
-        incr("toolchain.invocations")
+        stats.incr("toolchain_invocations")
         t0 = time.perf_counter()
         try:
             proc = subprocess.run(cmd, capture_output=True, text=True,
                                   timeout=timeout)
         except subprocess.TimeoutExpired:
-            _account_build(stats, time.perf_counter() - t0)
             last = f"timed out after {timeout:g}s"
             continue
         except OSError as exc:
-            _account_build(stats, time.perf_counter() - t0)
             last = f"{type(exc).__name__}: {exc}"
             continue
-        _account_build(stats, time.perf_counter() - t0)
+        finally:
+            stats.incr("build_seconds", time.perf_counter() - t0)
         if proc.returncode == 0:
             return
         raise ToolchainError(
@@ -246,14 +237,12 @@ def build_shared(sources: Dict[str, str], extra_flags: Sequence[str] = (),
             _SO_CACHE.pop(key, None)
             cache.evict(key)
         elif key in _SO_CACHE:
-            cache.stats.mem_hits += 1
-            incr("cache.mem_hit")
+            cache.stats.incr("mem_hits")
             return _SO_CACHE[key]
 
     so = None if force else _load_from_store(cache, key)
     if so is None:
-        cache.stats.misses += 1
-        incr("cache.miss")
+        cache.stats.incr("misses")
         with span("toolchain.build", tag=tag, key=key):
             so = _build_and_publish(cc, cache, key, sources, extra_flags,
                                     tag)
@@ -272,11 +261,10 @@ def _load_from_store(cache, key: str) -> Optional[SharedObject]:
         lib = ctypes.CDLL(str(so_path))
     except OSError:
         # corrupt enough to pass the size check but not dlopen
-        cache.stats.errors += 1
+        cache.stats.incr("errors")
         cache.evict(key)
         return None
-    cache.stats.disk_hits += 1
-    incr("cache.disk_hit")
+    cache.stats.incr("disk_hits")
     return SharedObject(path=so_path, lib=lib)
 
 
@@ -292,7 +280,7 @@ def _build_and_publish(cc: str, cache, key: str, sources: Dict[str, str],
         except OSError:
             # store root unusable (bad $REPRO_CACHE_DIR, permissions):
             # fall back to an unpublished process-scratch build
-            cache.stats.errors += 1
+            cache.stats.incr("errors")
     workdir = store_workdir
     if workdir is None:
         workdir = _scratch_dir() / f"{tag}-{key}"

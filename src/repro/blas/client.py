@@ -35,10 +35,10 @@ service failure, only (at worst) in-process latency:
    In-place operands are only written after a remote success, so the
    fallback always starts from unmodified inputs.
 
-The chain is observable: ``client.request`` / ``client.remote_ok`` /
-``client.retry`` / ``client.fallback`` / ``client.breaker_open`` /
-``client.rejected`` / ``client.deadline`` counters (``trace report``
-renders them) and a :class:`ClientStats` mirror for trace-off tests.
+The chain is observable: a :class:`ClientStats` tally per client
+(``blas.stats``, tracing on or off) whose every bump is also its
+``client.*`` trace counter (``client.request`` / ``client.retry`` /
+``client.fallback`` / ...; ``trace report`` renders them).
 
 When the facade is built with ``integrity="sample"`` (or ``"full"``),
 the client samples requests with the shared
@@ -56,13 +56,12 @@ import select
 import socket
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..obs import event, incr
+from ..obs import Counters, event
 from ..serve.protocol import (ERR_DEADLINE, ERR_DRAINING, PROTOCOL_VERSION,
                               RETRYABLE_CODES, ArrayRef, PeerGone,
                               ProtocolError, call_header, recv_frame,
@@ -175,21 +174,22 @@ class _Channel:
             sock.close()
 
 
-@dataclass
-class ClientStats:
-    """Mirror of the client.* counters (usable with tracing off)."""
+class ClientStats(Counters):
+    """Per-client tallies, each also a ``client.*`` trace counter."""
 
-    requests: int = 0
-    remote_ok: int = 0
-    retries: int = 0
-    fallbacks: int = 0
-    rejected: int = 0
-    deadline_hits: int = 0
-    draining_hits: int = 0
-    breaker_opens: int = 0
-    breaker_short_circuits: int = 0
-    integrity_checked: int = 0
-    integrity_corrected: int = 0
+    TRACE = {
+        "requests": "client.request",
+        "remote_ok": "client.remote_ok",
+        "retries": "client.retry",
+        "fallbacks": "client.fallback",
+        "rejected": "client.rejected",
+        "deadline_hits": "client.deadline",
+        "draining_hits": "client.draining",
+        "breaker_opens": "client.breaker_open",
+        "breaker_short_circuits": "client.breaker_short_circuit",
+        "integrity_checked": "client.integrity_checked",
+        "integrity_corrected": "client.integrity_corrected",
+    }
 
 
 class CircuitBreaker:
@@ -320,8 +320,7 @@ class ServedBLAS(AugemBLAS):
     # -- degradation chain --------------------------------------------------
 
     def _fallback(self, routine: str, reason: ServiceUnavailable):
-        self.stats.fallbacks += 1
-        incr("client.fallback")
+        self.stats.incr("fallbacks")
         event("client.fallback", routine=routine, reason=str(reason)[:200])
         return self.local_driver(routine)
 
@@ -333,11 +332,9 @@ class ServedBLAS(AugemBLAS):
         when the service chain is exhausted and the caller must fall
         back.  In-place targets are written only after a remote success.
         """
-        self.stats.requests += 1
-        incr("client.request")
+        self.stats.incr("requests")
         if not self.breaker.allow():
-            self.stats.breaker_short_circuits += 1
-            incr("client.breaker_short_circuit")
+            self.stats.incr("breaker_short_circuits")
             raise ServiceUnavailable("circuit breaker open")
 
         arrays = {name: np.asarray(call[name], dtype=np.float64)
@@ -370,13 +367,11 @@ class ServedBLAS(AugemBLAS):
         """Fold a response's ABFT verdict into the client stats."""
         if not isinstance(verdict, dict) or not verdict.get("checked"):
             return
-        self.stats.integrity_checked += 1
-        incr("client.integrity_checked")
+        self.stats.incr("integrity_checked")
         corrections = (int(verdict.get("mismatches", 0))
                        + int(verdict.get("reference_recomputes", 0)))
         if corrections or verdict.get("quarantined"):
-            self.stats.integrity_corrected += 1
-            incr("client.integrity_corrected")
+            self.stats.incr("integrity_corrected")
             event("client.integrity_corrected", routine=routine,
                   mismatches=int(verdict.get("mismatches", 0)),
                   reference_recomputes=int(
@@ -406,8 +401,7 @@ class ServedBLAS(AugemBLAS):
                 self._retire()
                 last = f"{type(exc).__name__}: {exc}"
                 if self.breaker.record_failure():
-                    self.stats.breaker_opens += 1
-                    incr("client.breaker_open")
+                    self.stats.incr("breaker_opens")
                     event("client.breaker_open", reason=last[:200])
                 if attempt < self.retries:
                     self._nap(attempt, None)
@@ -421,8 +415,7 @@ class ServedBLAS(AugemBLAS):
             if reply.get("ok"):
                 channel.settle()
                 self.breaker.record_success()
-                self.stats.remote_ok += 1
-                incr("client.remote_ok")
+                self.stats.incr("remote_ok")
                 return reply, views
             self._retire()
             error = reply.get("error", {})
@@ -432,23 +425,19 @@ class ServedBLAS(AugemBLAS):
             # stays closed; only the retry/fallback tiers apply
             self.breaker.record_success()
             if code in RETRYABLE_CODES:
-                self.stats.rejected += 1
-                incr("client.rejected")
+                self.stats.incr("rejected")
                 if attempt < self.retries:
                     self._nap(attempt, error.get("retry_after_ms"))
                     continue
             elif code == ERR_DEADLINE:
-                self.stats.deadline_hits += 1
-                incr("client.deadline")
+                self.stats.incr("deadline_hits")
             elif code == ERR_DRAINING:
-                self.stats.draining_hits += 1
-                incr("client.draining")
+                self.stats.incr("draining_hits")
             raise ServiceUnavailable(last)
         raise ServiceUnavailable(last)
 
     def _nap(self, attempt: int, retry_after_ms: Optional[Any]) -> None:
-        self.stats.retries += 1
-        incr("client.retry")
+        self.stats.incr("retries")
         base = (float(retry_after_ms) / 1000.0
                 if retry_after_ms else self.retry_base)
         delay = base * (2 ** attempt)

@@ -24,12 +24,11 @@ reach assembly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from ..obs import incr
+from ..obs import Counters
 
 #: accepted ``nan_policy`` values
 NAN_POLICIES = ("propagate", "raise")
@@ -44,14 +43,15 @@ class BlasArgumentError(ValueError):
         super().__init__(f"{routine}: parameter '{param}': {message}")
 
 
-@dataclass
-class GuardStats:
-    """Per-instance tallies (process-wide totals go to ``dispatch.*``)."""
+class GuardStats(Counters):
+    """Per-instance tallies, each also a ``dispatch.guard_*`` counter."""
 
-    coercions: int = 0       # dtype/contiguity copies made on the way in
-    rejections: int = 0      # BlasArgumentError raised
-    alias_copies: int = 0    # defensive copies for aliased in-place outputs
-    zero_dim_returns: int = 0  # calls short-circuited before any kernel
+    TRACE = {
+        "coercions": "dispatch.guard_coercion",  # dtype/layout copies
+        "rejections": "dispatch.guard_rejection",  # BlasArgumentError
+        "alias_copies": "dispatch.guard_alias_copy",  # aliased outputs
+        "zero_dim_returns": "dispatch.guard_zero_dim",  # no kernel ran
+    }
 
 
 class ArgGuard:
@@ -71,8 +71,7 @@ class ArgGuard:
         dtype and shape when an array (or array-like) is in hand — the
         difference between "b: expected shape (4, 4)" and an error the
         caller can act on without a debugger."""
-        self.stats.rejections += 1
-        incr("dispatch.guard_rejection")
+        self.stats.incr("rejections")
         if value is not None:
             described = value if isinstance(value, np.ndarray) else None
             if described is None:
@@ -87,8 +86,7 @@ class ArgGuard:
         raise BlasArgumentError(routine, param, message)
 
     def note_zero_dim(self) -> None:
-        self.stats.zero_dim_returns += 1
-        incr("dispatch.guard_zero_dim")
+        self.stats.incr("zero_dim_returns")
 
     # -- coercion ---------------------------------------------------------
     def _coerce(self, routine: str, param: str, value,
@@ -117,8 +115,7 @@ class ArgGuard:
         out = np.ascontiguousarray(arr, dtype=np.float64) if contiguous \
             else np.asarray(arr, dtype=np.float64)
         if out is not arr:
-            self.stats.coercions += 1
-            incr("dispatch.guard_coercion")
+            self.stats.incr("coercions")
         self._check_finite(routine, param, out)
         return out
 
@@ -207,8 +204,7 @@ class ArgGuard:
                 read: np.ndarray) -> np.ndarray:
         """Defensive copy of ``read`` when it overlaps the in-place ``out``."""
         if read is not out and np.may_share_memory(read, out):
-            self.stats.alias_copies += 1
-            incr("dispatch.guard_alias_copy")
+            self.stats.incr("alias_copies")
             return read.copy()
         return read
 

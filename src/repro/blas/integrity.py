@@ -53,7 +53,7 @@ import numpy as np
 
 from ..backend.cache import get_cache
 from ..core.framework import quarantine_key
-from ..obs import event, incr
+from ..obs import Counters, event, incr
 
 #: environment variable naming the default integrity mode
 INTEGRITY_ENV = "REPRO_INTEGRITY"
@@ -108,28 +108,18 @@ def resolve_integrity(mode: Optional[str] = None,
 # process-wide stats + strike/quarantine state
 # ---------------------------------------------------------------------------
 
-class IntegrityStats:
-    """Thread-safe process-wide ABFT counters (``integrity show``)."""
+class IntegrityStats(Counters):
+    """Process-wide ABFT counters (``integrity show``)."""
 
-    FIELDS = ("checks", "mismatches", "retries", "reference_recomputes",
-              "quarantines", "overhead_ns")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._values: Dict[str, int] = {f: 0 for f in self.FIELDS}
-
-    def add(self, field: str, n: int = 1) -> None:
-        with self._lock:
-            self._values[field] += int(n)
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._values)
-
-    def reset(self) -> None:
-        with self._lock:
-            for f in self.FIELDS:
-                self._values[f] = 0
+    TRACE = {
+        "checks": "integrity.checks",
+        "mismatches": "integrity.mismatches",
+        "retries": "integrity.retries",
+        "reference_recomputes": "integrity.reference_recomputes",
+        "quarantines": "integrity.quarantines",
+        "overhead_ns": None,
+    }
+    FIELDS = tuple(TRACE)
 
 
 #: the process-wide stats singleton
@@ -380,11 +370,9 @@ class IntegrityChecker:
 
 def _tally(field: str, report: Optional[IntegrityReport] = None,
            n: int = 1) -> None:
-    """Count ``n`` of ``field`` in :data:`STATS`, its ``integrity.*`` obs
-    counter (``overhead_ns`` has none) and ``report``."""
-    STATS.add(field, n)
-    if field != "overhead_ns":
-        incr(f"integrity.{field}", n)
+    """Count ``n`` of ``field`` in :data:`STATS` (and so its trace
+    counter) and in ``report``."""
+    STATS.incr(field, n)
     if report is not None:
         report.note(field, n)
 

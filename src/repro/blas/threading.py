@@ -13,8 +13,8 @@ Two pieces, both process-wide and deliberately boring:
   count.  Without pooling every native call would allocate fresh A/B/C
   panels; the pool lends flat float64 buffers,
   guards against handing one buffer to two concurrent borrowers (an
-  aliasing bug here silently corrupts results), and keeps hit/miss/
-  allocation counters that tests and traces can watch plateau.
+  aliasing bug here silently corrupts results), and keeps hit/miss
+  counters that tests and traces can watch plateau.
 
 ``REPRO_THREADS`` selects the default thread count for every driver that
 does not pin one explicitly (``auto`` = one per CPU); see
@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..obs import incr
+from ..obs import Counters
 
 #: environment variable naming the default GEMM thread count
 THREADS_ENV = "REPRO_THREADS"
@@ -79,6 +79,13 @@ def _aligned_empty(size: int) -> np.ndarray:
     return raw[start:start + size]
 
 
+class _PoolCounts(Counters):
+    """A :class:`PackBufferPool`'s tallies (read through ``stats()``)."""
+
+    TRACE = {"hits": "gemm.pack_pool.hit", "misses": "gemm.pack_pool.miss",
+             "allocated_bytes": None}
+
+
 class PackBufferPool:
     """Reusable flat float64 buffers for packed panels, keyed by size.
 
@@ -101,10 +108,7 @@ class PackBufferPool:
         self._free: Dict[int, List[Tuple[np.ndarray, int]]] = {}
         #: id(buf) -> (size, data address) of every lent buffer
         self._outstanding: Dict[int, Tuple[int, int]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.allocations = 0
-        self.allocated_bytes = 0
+        self.counts = _PoolCounts()
         with _POOLS_LOCK:
             _BUFFER_POOLS.add(self)
 
@@ -125,16 +129,13 @@ class PackBufferPool:
             free = self._free.get(size)
             if free:
                 buf, address = free.pop()
-                self.hits += 1
-                incr("gemm.pack_pool.hit")
+                self.counts.incr("hits")
                 if id(buf) in self._outstanding:
                     raise PoolAliasError(
                         f"buffer of size {size} lent twice concurrently")
             else:
-                self.misses += 1
-                self.allocations += 1
-                self.allocated_bytes += size * 8
-                incr("gemm.pack_pool.miss")
+                self.counts.incr("misses")
+                self.counts.incr("allocated_bytes", size * 8)
                 buf = _aligned_empty(size)
                 address = buf.ctypes.data
             self._outstanding[id(buf)] = (size, address)
@@ -167,13 +168,10 @@ class PackBufferPool:
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "allocations": self.allocations,
-                "allocated_bytes": self.allocated_bytes,
-                "outstanding": len(self._outstanding),
-            }
+            stats = self.counts.snapshot()
+            stats["outstanding"] = len(self._outstanding)
+        stats["allocations"] = stats["misses"]  # every miss allocates
+        return stats
 
 
 class _Batch:

@@ -1,9 +1,10 @@
 """Pipeline observability: structured tracing and counters.
 
-Two pieces, both zero-dependency and off by default:
+Two zero-dependency pieces; tracing is off by default:
 
 - :mod:`repro.obs.trace` — spans + events + counters serialized to JSONL
-  (``REPRO_TRACE=<path>``, ``--trace <path>``, or :func:`start_trace`);
+  (``REPRO_TRACE=<path>``, ``--trace <path>``, or :func:`start_trace`),
+  and :class:`Counters`, always-on tallies whose bumps feed the trace;
 - :mod:`repro.obs.report` — renders a recorded trace
   (``python -m repro trace report <file>``).
 
@@ -15,6 +16,7 @@ timed loops are deliberately not instrumented at all).
 
 from .trace import (
     NULL_SPAN,
+    Counters,
     Span,
     Tracer,
     current_tracer,
@@ -29,6 +31,7 @@ from .trace import (
 )
 
 __all__ = [
+    "Counters",
     "NULL_SPAN",
     "Span",
     "Tracer",

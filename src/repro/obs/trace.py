@@ -7,7 +7,8 @@ The tracer is the pipeline's flight recorder.  When enabled it captures
 - **events** — point-in-time records (one tuning trial, one sandbox
   verdict) attached to the enclosing span;
 - **counters** — cheap accumulators (cache hits, toolchain retries)
-  flushed as one record per counter when the trace closes.
+  flushed as one record per counter when the trace closes; a component
+  that also keeps an always-on tally declares it as :class:`Counters`.
 
 Everything lands in one JSON-Lines file: one self-describing JSON object
 per line, so traces are greppable, diffable, and parseable with nothing
@@ -33,7 +34,7 @@ import os
 import sys
 import threading
 import time
-from typing import Any, Dict, Optional, TextIO
+from typing import Any, Dict, Mapping, Optional, TextIO
 
 #: ``REPRO_TRACE`` values that mean "disabled" (mirrors REPRO_CACHE_DIR)
 _OFF_VALUES = {"", "0", "off", "none", "false", "disabled"}
@@ -276,6 +277,51 @@ def incr(name: str, n: float = 1) -> None:
     tracer = _TRACER
     if tracer is not None:
         tracer.incr(name, n)
+
+
+class Counters:
+    """Thread-safe numeric fields, declared by a subclass's ``TRACE``: an
+    ordered table from each field to its trace counter name, or ``None``
+    for a field the trace does not carry.  A tally and its trace counter
+    are one write (:meth:`incr`).  Fields start at zero and read as
+    attributes (``stats.misses``)."""
+
+    TRACE: Dict[str, Optional[str]] = {}
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._values: Dict[str, float] = dict.fromkeys(self.TRACE, 0)
+
+    def __getattr__(self, field: str) -> Any:
+        try:  # reached only for names that are not ordinary attributes
+            return self.__dict__["_values"][field]
+        except KeyError:
+            raise AttributeError(f"{type(self).__name__} has no counter "
+                                 f"{field!r}") from None
+
+    def incr(self, field: str, n: float = 1) -> None:
+        """Add ``n`` to ``field`` (``KeyError`` if undeclared) and to its
+        trace counter; a zero ``n`` writes no trace record."""
+        with self._lock:
+            self._values[field] += n
+        name = self.TRACE[field]
+        if name is not None and n:
+            incr(name, n)
+
+    def merge(self, other: Mapping[str, Any]) -> None:
+        """Add the declared numeric entries of ``other``, untraced."""
+        with self._lock:
+            for field, value in other.items():
+                if field in self._values and isinstance(value, (int, float)):
+                    self._values[field] += value
+
+    def snapshot(self) -> Dict[str, float]:
+        with self._lock:
+            return dict(self._values)
+
+    def reset(self) -> None:
+        with self._lock:
+            self._values = dict.fromkeys(self.TRACE, 0)
 
 
 def progress(message: str, stream: Optional[TextIO] = None) -> None:

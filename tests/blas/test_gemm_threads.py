@@ -183,13 +183,12 @@ def test_pack_pool_buffers_reused_across_calls(rng):
     b = rng.standard_normal((32, 32))
     driver(a, b)
     pool = driver.pack_pool
-    allocations_after_warmup = pool.allocations
-    hits_after_warmup = pool.hits
+    warm = pool.stats()
     for _ in range(5):
         driver(a, b)
-    assert pool.allocations == allocations_after_warmup, \
+    assert pool.stats()["allocations"] == warm["allocations"], \
         "steady-state calls must not allocate fresh panels"
-    assert pool.hits > hits_after_warmup
+    assert pool.stats()["hits"] > warm["hits"]
     assert pool.outstanding == 0
 
 
@@ -223,7 +222,7 @@ def test_pack_pool_bounds_free_list():
     for b in bufs:
         pool.release(b)
     assert len(pool._free[8]) == 2  # spares beyond the cap are dropped
-    assert pool.allocations == 5
+    assert pool.stats()["allocations"] == 5
 
 
 # -- worker_die fault injection ---------------------------------------------
